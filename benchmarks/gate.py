@@ -8,13 +8,12 @@ replicas) — plus three scale scenarios: ``bulk-100k`` (a
 engine), ``cluster-bulk-100k`` (the same bulk regime through a
 4-replica cluster, gating the heap-scheduled fleet clock and batched
 cohort routing), and ``bulk-1m`` (a million-request saturating trace
-through the struct-of-arrays core, the regime where admissions,
-completions, and records are committed as whole-cohort array ops), and
-``elastic`` (a
-reactive autoscaling fleet on a one-hour diurnal multi-tenant trace
-under SFQ fair share, gating the SLO-good count and the carbon cost
-per good request as well).  Three numbers per scenario: simulated
-goodput, simulated TTFT p99, and host wall-clock.
+at batch 64, the regime where admissions, completions, and records
+arrive in whole cohorts), and ``elastic`` (a reactive autoscaling
+fleet on a one-hour diurnal multi-tenant trace under SFQ fair share,
+gating the SLO-good count and the carbon cost per good request as
+well).  Three numbers per scenario: simulated goodput, simulated TTFT
+p99, and host wall-clock.
 The gate fails when, versus the checked-in ``BENCH_serving.json``
 baseline,
 
@@ -97,9 +96,7 @@ from repro.serve import (  # noqa: E402
 BASELINE_PATH = ROOT / "BENCH_serving.json"
 CURRENT_PATH = ROOT / "benchmarks" / "BENCH_serving.current.json"
 
-#: Default gate thresholds (fractions).  The wall bound has tightened
-#: as the engine bought headroom: 25 % -> 20 % with the event-compressed
-#: decode leaping, 20 % -> 15 % with the struct-of-arrays core.
+#: Default gate thresholds (fractions).
 MAX_GOODPUT_DROP = 0.05
 MAX_WALL_GROWTH = 0.15
 
@@ -151,11 +148,10 @@ CLUSTER_BULK_RATE_RPS = 200.0
 #: The second scale scenario: a million requests at hard saturation.
 #: Fixed-length outputs make completions arrive in large cohorts and a
 #: cost bucket wider than any context removes bucket crossings, so the
-#: run is dominated by exactly the paths the struct-of-arrays core
-#: vectorizes — bulk admission, whole-cohort completion/release, and
-#: saturation-aware arrival leaping.  Budget: <= 10 s of simulator wall
-#: on one core (trace synthesis excluded — the executor times it
-#: separately).
+#: run is dominated by batch-64 cohort transitions — admission,
+#: whole-cohort completion/release — and saturation-aware arrival
+#: leaping.  Budget: <= 10 s of simulator wall on one core (trace
+#: synthesis excluded — the executor times it separately).
 BULK_1M_REQUESTS = 1_000_000
 BULK_1M_RATE_RPS = 400.0
 BULK_1M_SEED = 29
@@ -325,8 +321,7 @@ PROFILE_BUCKETS = (
     ("simulate_workload", ("repro/arch/simulator.py",)),
     ("scheduler logic", ("repro/serve/scheduler.py",
                          "repro/serve/policy.py",
-                         "repro/serve/kv_cache.py",
-                         "repro/serve/soa.py")),
+                         "repro/serve/kv_cache.py")),
     ("engine + event loop", ("repro/serve/engine.py",
                              "repro/serve/cluster.py",
                              "repro/serve/autoscale.py",

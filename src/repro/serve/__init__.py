@@ -94,13 +94,6 @@ from .scheduler import (
     StepPlan,
     make_scheduler,
 )
-from .soa import (
-    PHASE_FREE,
-    PHASE_RUNNING,
-    PHASE_SWAPPED,
-    PHASE_WAITING,
-    SequenceTable,
-)
 from .sweep import (
     SweepExecutor,
     SweepOutcome,
@@ -127,10 +120,6 @@ from .trace import (
 __all__ = [
     "AUTOSCALERS",
     "DEFAULT_COLD_START",
-    "PHASE_FREE",
-    "PHASE_RUNNING",
-    "PHASE_SWAPPED",
-    "PHASE_WAITING",
     "POLICIES",
     "ROUTERS",
     "SCHEDULERS",
@@ -170,7 +159,6 @@ __all__ = [
     "Scheduler",
     "SchedulingPolicy",
     "SequenceState",
-    "SequenceTable",
     "ServingCluster",
     "ServingEngine",
     "ServingReport",

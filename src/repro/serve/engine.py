@@ -140,8 +140,7 @@ class ServingEngine:
         self._resume = None
 
     # -- step lowering --------------------------------------------------
-    def _signature(self, plan: StepPlan,
-                   ctx: np.ndarray | None = None) -> tuple:
+    def _signature(self, plan: StepPlan) -> tuple:
         """Cost-equivalence key of a step's active set.
 
         The decode part is the *sorted multiset* of bucketed context
@@ -150,28 +149,13 @@ class ServingEngine:
         misses only.  The ceil-to-bucket rounding ``-(-x // b) * b`` is
         inlined here and mirrored by :meth:`_leap_window`'s crossing
         check — change them together.
-
-        ``ctx`` is the slot plan's pre-gathered context column
-        (:meth:`step` reuses one gather across signature, commit, and
-        leap window — batches are small, so per-call numpy overhead,
-        not arithmetic, dominates the planned-step budget).
         """
         b = self.seq_len_bucket
         prefill = () if not plan.prefill else tuple(
-            sorted(-(-s.request.prompt_len // b) * b
-                   for s in plan.prefill))
-        if ctx is None and plan.decode_slots is not None:
-            ctx = plan.table.context_len[plan.decode_slots]
-        if ctx is not None:
-            # Pre-gathered context column (slot plans always, list plans
-            # when the step gathered one): bucket it in one shot.
-            # tolist() converts to Python ints so the cache key matches
-            # the object path's keys exactly; Python's sort beats
-            # np.sort at these batch sizes.
-            decode = tuple(sorted((-(-ctx // b) * b).tolist()))
-        else:
-            decode = tuple(sorted(-(-s.context_len // b) * b
-                                  for s in plan.decode))
+            sorted([-(-s.request.prompt_len // b) * b
+                    for s in plan.prefill]))
+        decode = tuple(sorted([-(-s.context_len // b) * b
+                               for s in plan.decode]))
         # Chunked prefill: past KV is bucketed like decode context; the
         # chunk itself is budget-sized and stays exact.  Whether a chunk
         # finishes matters because only finishing chunks cross the LM
@@ -181,9 +165,8 @@ class ServingEngine:
             for t in plan.chunks).items()))
         return prefill, decode, chunks
 
-    def _step_cost(self, plan: StepPlan,
-                   ctx: np.ndarray | None = None) -> SimulationResult:
-        key = self._signature(plan, ctx)
+    def _step_cost(self, plan: StepPlan) -> SimulationResult:
+        key = self._signature(plan)
         result = self._step_cache.get(key)
         if result is not None:
             self._cache_hits += 1
@@ -292,16 +275,11 @@ class ServingEngine:
         plan = self.scheduler.plan_step(self._now)
         if plan.batch == 0:
             return False
+        prefill, decode, chunks = plan.prefill, plan.decode, plan.chunks
         report.peak_kv_bytes = max(report.peak_kv_bytes,
                                    self.scheduler.reserved_bytes)
         report.kv_utilization.append(self.scheduler.kv_utilization())
-        slots = plan.decode_slots
-        ctx0 = None
-        if slots is not None and slots.size:
-            # One context gather feeds the signature, the commit, and
-            # the leap-window crossing check below.
-            ctx0 = plan.table.context_len[slots]
-        cost = self._step_cost(plan, ctx0)
+        cost = self._step_cost(plan)
         duration = cost.step_seconds + plan.swap_seconds
         self._now += duration
         now = self._now
@@ -311,23 +289,12 @@ class ServingEngine:
         report.busy_seconds += duration
         report.steps += 1
 
-        prefill = plan.prefill
-        if len(prefill) > 2:
-            # Admission cohorts commit with column writes (one engine
-            # serves one scheduler, so every state shares one table).
-            tab = prefill[0].table
-            pslots = np.fromiter((s.slot for s in prefill),
-                                 dtype=np.int64, count=len(prefill))
-            tab.first_token_s[pslots] = now
-            tab.generated[pslots] = 1
-            tab.context_len[pslots] = tab.prompt_len[pslots] + 1
-        else:
-            for state in prefill:
-                state.first_token_s = now
-                state.generated = 1
-                state.context_len = state.request.prompt_len + 1
+        for state in prefill:
+            state.first_token_s = now
+            state.generated = 1
+            state.context_len = state.request.prompt_len + 1
         finished_chunks = []
-        for task in plan.chunks:
+        for task in chunks:
             if not task.finishes:
                 continue
             # The last chunk of a prefill (or of a post-preemption
@@ -339,97 +306,42 @@ class ServingEngine:
             state.generated += 1
             state.context_len = state.prefill_target + 1
             finished_chunks.append(state)
-        remaining = ctx1 = None
-        if slots is not None:
-            table = plan.table
-            if slots.size:
-                # Slot plan: commit every decoder's token with column
-                # ops — set first-token clocks where still NaN, then
-                # bump the counters.  ``remaining``/``ctx1`` feed the
-                # completion scan and the leap window without
-                # re-gathering.
-                first = table.first_token_s
-                unset = np.isnan(first[slots])
-                if unset.any():
-                    first[slots[unset]] = now
-                gen = table.generated[slots] + 1
-                table.generated[slots] = gen
-                ctx1 = ctx0 + 1
-                table.context_len[slots] = ctx1
-                remaining = table.output_len[slots] - gen
-            n_decode = int(slots.size)
-        else:
-            for state in plan.decode:
-                if state.first_token_s is None:
-                    # KV-ready admissions (cluster disaggregation: the
-                    # KV arrived over the interconnect) emit their first
-                    # local token from a decode step, never a prefill.
-                    state.first_token_s = now
-                state.generated += 1
-                state.context_len += 1
-            n_decode = len(plan.decode)
+        for state in decode:
+            if state.first_token_s is None:
+                # KV-ready admissions (cluster disaggregation: the KV
+                # arrived over the interconnect) emit their first local
+                # token from a decode step, never a prefill.
+                state.first_token_s = now
+            state.generated += 1
+            state.context_len += 1
         self.scheduler.note_generated(
-            len(plan.prefill) + n_decode + len(finished_chunks))
+            len(prefill) + len(decode) + len(finished_chunks))
         # Completion scan, in the stepwise order (prefills, decoders in
-        # running order, finished chunks).  Finishers are collected
-        # before any release: releasing mutates scheduler.running, which
-        # plan.decode_index indexes into.
-        # A prefill finisher emitted its whole output in the prefill
-        # step: generated is exactly 1 after the commit above, so the
-        # check reduces to a plain attribute read.
-        finishers = [s for s in plan.prefill if s.request.output_len <= 1]
-        if slots is not None:
-            if slots.size and remaining.min() <= 0:
-                index = plan.decode_index
-                done = np.flatnonzero(remaining <= 0)
-                if index is not None:
-                    done = index[done]
-                running = self.scheduler.running
-                finishers.extend(running[i] for i in done.tolist())
-        else:
-            finishers.extend(s for s in plan.decode
-                             if s.generated >= s.request.output_len)
-        finishers.extend(s for s in finished_chunks
-                         if s.generated >= s.request.output_len)
-        released = bool(finishers)
+        # running order, finished chunks).  A prefill finisher emitted
+        # its whole output in the prefill step: generated is exactly 1
+        # after the commit above.
+        finishers = [s for s in prefill if s.request.output_len <= 1]
+        finishers += [s for s in decode
+                      if s.generated >= s.request.output_len]
+        finishers += [s for s in finished_chunks
+                      if s.generated >= s.request.output_len]
         if finishers:
             # Records first (they only read state), then one cohort
             # release — the record order and every release side effect
             # match the interleaved per-state sequence.
-            records = report.records
-            if len(finishers) > 2:
-                # Gather the clock columns once instead of two property
-                # reads per finisher (every state shares one table).
-                tab = finishers[0].table
-                fslots = np.fromiter((s.slot for s in finishers),
-                                     dtype=np.int64, count=len(finishers))
-                admitted = tab.admitted_s[fslots].tolist()
-                firsts = tab.first_token_s[fslots].tolist()
-                for state, adm, first in zip(finishers, admitted, firsts):
-                    records.append(RequestRecord(
-                        request=state.request,
-                        admitted_s=None if adm != adm else adm,
-                        first_token_s=None if first != first else first,
-                        finish_s=now))
-            else:
-                for state in finishers:
-                    records.append(RequestRecord(
-                        request=state.request,
-                        admitted_s=state.admitted_s,
-                        first_token_s=state.first_token_s,
-                        finish_s=now))
+            report.records.extend([
+                RequestRecord(request=s.request, admitted_s=s.admitted_s,
+                              first_token_s=s.first_token_s, finish_s=now)
+                for s in finishers])
             self.scheduler.release_many(finishers)
-
-        if horizon is not None and not released:
-            if plan.chunks:
+        elif horizon is not None:
+            if chunks:
                 self._chunk_leap(plan, horizon)
             else:
-                self._leap(plan, cost, horizon, remaining, ctx1)
+                self._leap(plan, cost, horizon)
         return True
 
-    def _leap_window(self, plan: StepPlan,
-                     remaining: np.ndarray | None,
-                     ctx: np.ndarray | None) -> int:
+    def _leap_window(self, decode: list) -> int:
         """Steps after a committed pure-decode step with the same plan.
 
         Bounded by the earliest completion (the completing step must
@@ -441,17 +353,12 @@ class ServingEngine:
         bucket = self.seq_len_bucket
         if bucket == 1:
             return 0  # Exact mode: every step's signature is new.
-        if remaining is not None:
-            # Slot plan: :meth:`step` hands over the already-gathered
-            # post-commit remaining-token and context columns.  The
-            # committed step planned at context - 1, and leapt step j
-            # plans at context + j - 1, which must share its cost
-            # bucket.
-            crossing = (1 - ctx) % bucket
-            return int(np.minimum(remaining - 1, crossing).min())
         window = None
-        for state in plan.decode:
+        for state in decode:
             remaining = state.request.output_len - state.generated
+            # context_len was just incremented; the committed step
+            # planned at context_len - 1, and leapt step j plans at
+            # context_len + j - 1, which must share its cost bucket.
             crossing = -(state.context_len - 1) % bucket
             bound = remaining - 1 if remaining - 1 < crossing else crossing
             if window is None or bound < window:
@@ -461,8 +368,7 @@ class ServingEngine:
         return window
 
     def _leap(self, plan: StepPlan, cost: SimulationResult,
-              horizon: float, remaining: np.ndarray | None = None,
-              ctx: np.ndarray | None = None) -> None:
+              horizon: float) -> None:
         """Re-apply a committed pure-decode step analytically.
 
         Every accumulator advances with the same sequential float
@@ -471,12 +377,10 @@ class ServingEngine:
         planning, pricing, and per-token KV allocation work is skipped —
         the leap is what makes 100k-request traces tractable.
         """
-        slots = plan.decode_slots
-        n_decode = int(slots.size) if slots is not None else len(plan.decode)
         if not self.leap or plan.prefill or plan.chunks or \
-                plan.swap_seconds or not n_decode:
+                plan.swap_seconds or not plan.decode:
             return
-        window = self._leap_window(plan, remaining, ctx)
+        window = self._leap_window(plan.decode)
         if window > 0:
             window = self.scheduler.leap_window(plan, window)
         if window <= 0:
@@ -490,8 +394,13 @@ class ServingEngine:
             # horizon opens, provided nothing is submitted meanwhile.
             self._resume = (plan, cost, window - leapt,
                             self.scheduler.mutations, self._now)
-        if leapt == 0:
-            return
+        if leapt:
+            self._commit_leap(plan, leapt)
+
+    def _commit_leap(self, plan: StepPlan, leapt: int) -> None:
+        """Commit ``leapt`` repeats of a pure-decode plan whose clock and
+        energy :meth:`_advance` already applied: KV growth and the
+        utilization series, step counters, and every decoder's tokens."""
         report = self._report
         report.kv_utilization.extend(
             self.scheduler.commit_leap(plan, leapt))
@@ -499,28 +408,10 @@ class ServingEngine:
                                    self.scheduler.reserved_bytes)
         report.steps += leapt
         report.leap_steps += leapt
-        if slots is not None:
-            table = plan.table
-            table.generated[slots] += leapt
-            table.context_len[slots] += leapt
-        else:
-            self._bump_decode(plan.decode, leapt)
-        self.scheduler.note_generated(leapt * n_decode)
-
-    @staticmethod
-    def _bump_decode(decode: list, leapt: int) -> None:
-        """Advance a list plan's decoders by ``leapt`` tokens (column
-        ops past a few states; every state shares one table)."""
-        if len(decode) > 2:
-            table = decode[0].table
-            dslots = np.fromiter((s.slot for s in decode),
-                                 dtype=np.int64, count=len(decode))
-            table.generated[dslots] += leapt
-            table.context_len[dslots] += leapt
-        else:
-            for state in decode:
-                state.generated += leapt
-                state.context_len += leapt
+        for state in plan.decode:
+            state.generated += leapt
+            state.context_len += leapt
+        self.scheduler.note_generated(leapt * len(plan.decode))
 
     def _resume_leap(self, resume: tuple, horizon: float) -> None:
         """Continue a horizon-cut leap without replanning.
@@ -545,23 +436,7 @@ class ServingEngine:
                               cost.comm_seconds, window, horizon)
         if leapt < window:
             self._resume = (plan, cost, window - leapt, epoch, self._now)
-        report = self._report
-        report.kv_utilization.extend(
-            self.scheduler.commit_leap(plan, leapt))
-        report.peak_kv_bytes = max(report.peak_kv_bytes,
-                                   self.scheduler.reserved_bytes)
-        report.steps += leapt
-        report.leap_steps += leapt
-        slots = plan.decode_slots
-        if slots is not None:
-            table = plan.table
-            table.generated[slots] += leapt
-            table.context_len[slots] += leapt
-            n_decode = int(slots.size)
-        else:
-            self._bump_decode(plan.decode, leapt)
-            n_decode = len(plan.decode)
-        self.scheduler.note_generated(leapt * n_decode)
+        self._commit_leap(plan, leapt)
 
     def _advance(self, duration: float, energy: float, comm: float,
                  window: int, horizon: float) -> int:
@@ -692,6 +567,9 @@ class ServingEngine:
             raise ConfigError("empty trace")
         pending = sorted(trace, key=attrgetter("arrival_s", "req_id"))
         # Fail before simulating anything, not mid-run at enqueue.
+        if len({r.req_id for r in pending}) != len(pending):
+            raise ConfigError("trace has duplicate req_ids; records and "
+                              "KV block tables are keyed by req_id")
         error = self.scheduler.trace_error(pending)
         if error:
             raise ConfigError(f"unservable trace: {error}")

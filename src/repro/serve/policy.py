@@ -39,12 +39,6 @@ from .scheduler import (
     StepPlan,
     context_window_error,
 )
-from .soa import (
-    PHASE_RUNNING,
-    PHASE_SWAPPED,
-    PHASE_WAITING,
-    SequenceTable,
-)
 from .trace import Request
 
 #: C-level sort key over the cached per-state queue tuples.
@@ -57,38 +51,26 @@ class PagedSequenceState(SequenceState):
     ``prefilled`` counts prompt tokens whose KV is materialized
     (prefix-cache hits included); ``prefill_target`` is where prefill
     ends — ``prompt_len`` normally, ``prompt_len + generated`` while
-    rebuilding after a recompute preemption.  ``kv_tokens`` mirrors the
-    block manager's device-resident token count for this sequence (0
-    while waiting or swapped out), so table-level scans can reason
-    about KV residency without a dict probe per sequence.
-
-    Like the base class this is a view over a shared
-    :class:`~repro.serve.soa.SequenceTable` row.
+    rebuilding after a recompute preemption.  The block manager, not
+    the state, tracks how many KV tokens are device-resident.
     """
 
-    __slots__ = ("queue_sort_key",)
+    __slots__ = ("prefilled", "prefill_target", "cached_tokens",
+                 "preemptions", "swapped_tokens", "queue_sort_key")
 
     def __init__(self, request: Request, admitted_s: float | None,
                  context_len: int = 0, generated: int = 0,
                  first_token_s: float | None = None, prefilled: int = 0,
                  prefill_target: int = 0, cached_tokens: int = 0,
                  preemptions: int = 0, swapped_tokens: int = 0,
-                 queue_sort_key: tuple = (), *,
-                 table: SequenceTable | None = None):
+                 queue_sort_key: tuple = ()):
         super().__init__(request, admitted_s, context_len, generated,
-                         first_token_s, table=table)
-        i = self.slot
-        tab = self.table
-        tab.prefilled[i] = prefilled
-        tab.prefill_target[i] = prefill_target
-        tab.cached_tokens[i] = cached_tokens
-        tab.preemptions[i] = preemptions
-        tab.swapped_tokens[i] = swapped_tokens
-        tab.kv_tokens[i] = 0
-        # Paged sequences are born into the waiting queue (admission
-        # happens later, in plan_step); the base class assumes
-        # admission-time construction and flags RUNNING.
-        tab.phase[i] = PHASE_WAITING
+                         first_token_s)
+        self.prefilled = prefilled
+        self.prefill_target = prefill_target
+        self.cached_tokens = cached_tokens
+        self.preemptions = preemptions
+        self.swapped_tokens = swapped_tokens
         #: The policy's queue key, computed once at enqueue (keys are
         #: pure functions of immutable Request fields, and the per-step
         #: sorts are hot enough that re-deriving tuples dominated
@@ -96,57 +78,8 @@ class PagedSequenceState(SequenceState):
         self.queue_sort_key = queue_sort_key
 
     @property
-    def prefilled(self) -> int:
-        return int(self.table.prefilled[self.slot])
-
-    @prefilled.setter
-    def prefilled(self, value: int) -> None:
-        self.table.prefilled[self.slot] = value
-
-    @property
-    def prefill_target(self) -> int:
-        return int(self.table.prefill_target[self.slot])
-
-    @prefill_target.setter
-    def prefill_target(self, value: int) -> None:
-        self.table.prefill_target[self.slot] = value
-
-    @property
-    def cached_tokens(self) -> int:
-        return int(self.table.cached_tokens[self.slot])
-
-    @cached_tokens.setter
-    def cached_tokens(self, value: int) -> None:
-        self.table.cached_tokens[self.slot] = value
-
-    @property
-    def preemptions(self) -> int:
-        return int(self.table.preemptions[self.slot])
-
-    @preemptions.setter
-    def preemptions(self, value: int) -> None:
-        self.table.preemptions[self.slot] = value
-
-    @property
-    def swapped_tokens(self) -> int:
-        return int(self.table.swapped_tokens[self.slot])
-
-    @swapped_tokens.setter
-    def swapped_tokens(self, value: int) -> None:
-        self.table.swapped_tokens[self.slot] = value
-
-    @property
-    def kv_tokens(self) -> int:
-        return int(self.table.kv_tokens[self.slot])
-
-    @kv_tokens.setter
-    def kv_tokens(self, value: int) -> None:
-        self.table.kv_tokens[self.slot] = value
-
-    @property
     def prefill_done(self) -> bool:
-        i = self.slot
-        return bool(self.table.prefilled[i] >= self.table.prefill_target[i])
+        return self.prefilled >= self.prefill_target
 
 
 @dataclass(frozen=True)
@@ -451,7 +384,6 @@ class PagedScheduler:
             self.block_manager = BlockManager(
                 config, kv_capacity_bytes, block_size=block_size,
                 kvq_bits=kvq_bits)
-        self.table = SequenceTable(capacity=max(2 * max_batch, 16))
         self.waiting: list[PagedSequenceState] = []
         self.running: list[PagedSequenceState] = []
         self.swapped: list[PagedSequenceState] = []
@@ -544,7 +476,7 @@ class PagedScheduler:
     def _enqueue_validated(self, request: Request) -> None:
         state = PagedSequenceState(
             request=request, admitted_s=None,
-            prefill_target=request.prompt_len, table=self.table)
+            prefill_target=request.prompt_len)
         state.queue_sort_key = self.policy.queue_key(state)
         self.waiting.append(state)
         self._waiting_sorted = False
@@ -585,7 +517,6 @@ class PagedScheduler:
     def release(self, state: PagedSequenceState) -> None:
         """Free a finished sequence's blocks (prefix blocks stay cached)."""
         self.running.remove(state)
-        self.table.free(state.slot)
         self.block_manager.free_sequence(state.request.req_id)
         self.outstanding_tokens -= \
             state.request.total_tokens - state.generated
@@ -674,14 +605,6 @@ class PagedScheduler:
         if manager.live_blocks != live0 + int(grown[-1]):
             raise ConfigError("leap block accounting diverged from the "
                               "pool (copy-on-write inside a leap?)")
-        if len(plan.decode) > 2:
-            tab = plan.decode[0].table
-            tab.kv_tokens[np.fromiter((s.slot for s in plan.decode),
-                                      dtype=np.int64,
-                                      count=len(plan.decode))] += steps
-        else:
-            for state in plan.decode:
-                state.kv_tokens += steps
         # live0 + grown is exact int64 arithmetic; the float64 divide
         # rounds each ratio exactly as the stepwise ``int / int`` would.
         return ((live0 + grown) / manager.num_blocks).tolist()
@@ -761,7 +684,6 @@ class PagedScheduler:
             raise ConfigError("chunk-leap block accounting diverged from "
                               "the pool")
         state.prefilled += steps * chunk
-        state.kv_tokens = manager.tokens_of(seq_id)
         num_blocks = manager.num_blocks
         return [(live0 + int(g)) / num_blocks for g in grown]
 
@@ -782,8 +704,6 @@ class PagedScheduler:
             state.swapped_tokens = manager.tokens_of(seq_id)
             moved = manager.swap_out(seq_id)
             plan.swap_seconds += moved / self.host_link_bytes_s
-            state.kv_tokens = 0
-            state.phase = PHASE_SWAPPED
             self.swapped.append(state)
         else:
             # Recompute: drop the KV; the sequence re-prefills its
@@ -793,8 +713,6 @@ class PagedScheduler:
             state.prefilled = 0
             state.prefill_target = state.request.prompt_len + state.generated
             state.context_len = 0
-            state.kv_tokens = 0
-            state.phase = PHASE_WAITING
             self.waiting.append(state)
             self._waiting_sorted = False
 
@@ -807,25 +725,15 @@ class PagedScheduler:
         self.block_manager.free_sequence(state.request.req_id)
 
     def _partition_running(self) -> tuple[list, list]:
-        """(decoders, prefilling) of the running set, policy-sorted.
-
-        One gather over the table's ``prefilled`` / ``prefill_target`` /
-        ``generated`` / ``output_len`` columns replaces the old
-        per-state attribute walk.
-        """
-        if not self.running:
-            return [], []
-        running = self.running
-        slots = np.fromiter((s.slot for s in running), dtype=np.int64,
-                            count=len(running))
-        tab = self.table
-        fill_done = (tab.prefilled[slots]
-                     >= tab.prefill_target[slots]).tolist()
-        live = (tab.generated[slots] < tab.output_len[slots]).tolist()
-        decoders = sorted((s for s, f, l in zip(running, fill_done, live)
-                           if f and l), key=_QUEUE_KEY)
-        prefilling = sorted((s for s, f in zip(running, fill_done)
-                             if not f), key=_QUEUE_KEY)
+        """(decoders, prefilling) of the running set, policy-sorted."""
+        decoders, prefilling = [], []
+        for state in self.running:
+            if state.prefilled < state.prefill_target:
+                prefilling.append(state)
+            elif state.generated < state.request.output_len:
+                decoders.append(state)
+        decoders.sort(key=_QUEUE_KEY)
+        prefilling.sort(key=_QUEUE_KEY)
         return decoders, prefilling
 
     # -- the step planner ------------------------------------------------
@@ -862,18 +770,15 @@ class PagedScheduler:
                 break
             plan.swap_seconds += moved / self.host_link_bytes_s
             self.swapped.remove(state)
-            state.kv_tokens = state.swapped_tokens
-            state.phase = PHASE_RUNNING
             self.running.append(state)
             committed.add(id(state))
 
         # 2. Decode: every running sequence past prefill appends one
         #    token; allocation failure preempts a victim (possibly the
         #    sequence itself when it is the lowest-ranked survivor).
-        #    The prefill_done / done split is a pair of column compares
-        #    over the running set's table rows; prefilling sequences
-        #    preempted before part 3 reaches them are skipped there via
-        #    ``preempted_now``, exactly as stepwise victims always were.
+        #    Prefilling sequences preempted before part 3 reaches them
+        #    are skipped there via ``preempted_now``, exactly as
+        #    stepwise victims always were.
         decoders, prefilling = self._partition_running()
         if decoders and manager.available_blocks >= 2 * len(decoders):
             # A single-token extend needs at most one fresh block plus
@@ -884,23 +789,14 @@ class PagedScheduler:
             extend = manager.extend
             for state in decoders:
                 extend(state.request.req_id, 1)
-            plan.decode = list(decoders)
+            plan.decode = decoders
             committed.update(map(id, decoders))
-            if len(decoders) > 2:
-                tab = decoders[0].table
-                tab.kv_tokens[np.fromiter(
-                    (s.slot for s in decoders), dtype=np.int64,
-                    count=len(decoders))] += 1
-            else:
-                for state in decoders:
-                    state.kv_tokens += 1
         else:
             for state in decoders:
                 if id(state) in preempted_now:
                     continue  # Taken as a victim earlier in this loop.
                 while True:
                     if manager.extend(state.request.req_id, 1):
-                        state.kv_tokens += 1
                         plan.decode.append(state)
                         committed.add(id(state))
                         break
@@ -930,7 +826,6 @@ class PagedScheduler:
                            manager.max_extend(seq_id))
                 if take > 0:
                     manager.extend(seq_id, take)
-                    state.kv_tokens += take
                     plan.chunks.append(ChunkTask(
                         state=state, past=state.prefilled, new=take,
                         finishes=state.prefilled + take
@@ -983,10 +878,8 @@ class PagedScheduler:
             manager.extend(seq_id, take)
             state.cached_tokens += cached
             state.prefilled = cached + take
-            state.kv_tokens = cached + take
             if state.admitted_s is None:
                 state.admitted_s = now
-            state.phase = PHASE_RUNNING
             self.running.append(state)
             plan.chunks.append(ChunkTask(
                 state=state, past=cached, new=take,

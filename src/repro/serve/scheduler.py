@@ -16,13 +16,12 @@ mid-decode and no running sequence is ever preempted):
 Admission is head-of-line: a queued request that does not fit blocks the
 requests behind it, which is what makes FCFS starvation-free.
 
-Per-sequence counters live in a :class:`repro.serve.soa.SequenceTable`;
-:class:`SequenceState` is a view over one table row (same attribute
-API as the old dataclass).  Both schedulers emit *slot plans* — a
-``decode_slots`` index array instead of a list of state objects — so
-the engine can commit a decode step with a few vectorized column ops.
-``kv_ready`` admissions (cluster KV migrations) fall back to object
-plans, which the engine still handles.
+Each admitted request is one :class:`SequenceState` object with plain
+attributes, and a :class:`StepPlan` lists the step's decoders as those
+objects in running order.  At the small batches this simulator serves
+(8–64 sequences a step) attribute access on a ``__slots__`` object is
+cheaper than gathering and scattering numpy columns, so the engine
+commits a step with one short Python loop per phase.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
-from .soa import PHASE_RUNNING, SequenceTable
 from .trace import Request
 
 
@@ -59,83 +57,27 @@ class SequenceState:
     ``generated`` counts emitted tokens (the prefill step emits the
     first).
 
-    The counters live in a shared :class:`SequenceTable` row; this
-    object is a view carrying ``(table, slot)``.  Standalone
-    construction (tests, ad-hoc probes) gets a private one-row table.
-    Identity semantics match the scheduler lists' usage: two views are
-    equal only if they are the same object.
+    Equality is identity (no ``__eq__``): the schedulers find a state in
+    their lists with ``list.remove`` / ``list.index``, and two requests
+    with equal fields must never stand in for each other there.
     """
 
-    __slots__ = ("request", "table", "slot")
+    __slots__ = ("request", "admitted_s", "context_len", "generated",
+                 "first_token_s")
 
     def __init__(self, request: Request, admitted_s: float | None,
                  context_len: int = 0, generated: int = 0,
-                 first_token_s: float | None = None, *,
-                 table: SequenceTable | None = None):
-        if table is None:
-            table = SequenceTable(capacity=1)
+                 first_token_s: float | None = None):
         self.request = request
-        self.table = table
-        i = self.slot = table.alloc()
-        table.req_id[i] = request.req_id
-        table.prompt_len[i] = request.prompt_len
-        table.output_len[i] = request.output_len
-        table.arrival_s[i] = request.arrival_s
-        table.context_len[i] = context_len
-        table.generated[i] = generated
-        table.admitted_s[i] = np.nan if admitted_s is None else admitted_s
-        table.first_token_s[i] = (np.nan if first_token_s is None
-                                  else first_token_s)
-        table.phase[i] = PHASE_RUNNING
+        self.admitted_s = admitted_s
+        self.context_len = context_len
+        self.generated = generated
+        self.first_token_s = first_token_s
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(req_id={self.request.req_id}, "
                 f"context_len={self.context_len}, "
                 f"generated={self.generated})")
-
-    @property
-    def context_len(self) -> int:
-        return int(self.table.context_len[self.slot])
-
-    @context_len.setter
-    def context_len(self, value: int) -> None:
-        self.table.context_len[self.slot] = value
-
-    @property
-    def generated(self) -> int:
-        return int(self.table.generated[self.slot])
-
-    @generated.setter
-    def generated(self, value: int) -> None:
-        self.table.generated[self.slot] = value
-
-    @property
-    def admitted_s(self) -> float | None:
-        value = self.table.admitted_s[self.slot]
-        # NaN-as-None: NaN is the only float that is != itself.
-        return None if value != value else float(value)
-
-    @admitted_s.setter
-    def admitted_s(self, value: float | None) -> None:
-        self.table.admitted_s[self.slot] = np.nan if value is None else value
-
-    @property
-    def first_token_s(self) -> float | None:
-        value = self.table.first_token_s[self.slot]
-        return None if value != value else float(value)
-
-    @first_token_s.setter
-    def first_token_s(self, value: float | None) -> None:
-        self.table.first_token_s[self.slot] = (np.nan if value is None
-                                               else value)
-
-    @property
-    def phase(self) -> int:
-        return int(self.table.phase[self.slot])
-
-    @phase.setter
-    def phase(self, value: int) -> None:
-        self.table.phase[self.slot] = value
 
     @property
     def done(self) -> bool:
@@ -147,37 +89,21 @@ class StepPlan:
     """The active set of one engine step.
 
     ``prefill`` holds whole-prompt prefills (the PR 1 schedulers);
+    ``decode`` the sequences that emit one token this step, in the
+    scheduler's running order (policy order for the paged schedulers);
     ``chunks`` holds :class:`repro.serve.policy.ChunkTask` chunked
     prefill work (the paged schedulers); ``swap_seconds`` is host-link
     time this step spent moving preempted KV, added to the step clock.
-
-    Decoders come in one of two forms.  Object plans list
-    :class:`SequenceState` views in ``decode`` (paged schedulers and
-    ``kv_ready`` admissions).  Slot plans instead carry
-    ``decode_slots`` — table row indices, in running-list order — plus
-    ``decode_index`` (positions within ``scheduler.running`` at plan
-    time; admissions only ever append, so they stay valid through the
-    step) and ``table``.  A ``decode_index`` of ``None`` on a slot plan
-    means the identity mapping: every pre-admission running sequence
-    decodes, so position *i* in ``decode_slots`` is ``running[i]`` —
-    the common case, kept index-free to spare the per-step allocation.
-    Exactly one of ``decode`` / ``decode_slots`` is populated.
     """
 
     prefill: list = field(default_factory=list)
     decode: list = field(default_factory=list)
     chunks: list = field(default_factory=list)
     swap_seconds: float = 0.0
-    decode_slots: np.ndarray | None = None
-    decode_index: np.ndarray | None = None
-    table: SequenceTable | None = None
 
     @property
     def batch(self) -> int:
-        n = len(self.prefill) + len(self.decode) + len(self.chunks)
-        if self.decode_slots is not None:
-            n += len(self.decode_slots)
-        return n
+        return len(self.prefill) + len(self.decode) + len(self.chunks)
 
 
 class Scheduler:
@@ -214,12 +140,6 @@ class Scheduler:
         self.kvq_bits = kvq_bits
         self.queue: deque[Request] = deque()
         self.running: list[SequenceState] = []
-        self.table = SequenceTable(capacity=max(2 * max_batch, 16))
-        #: Table rows of ``running``, same order; ``_slots_array``
-        #: materializes it as an ndarray on demand.
-        self._slots: list[int] = []
-        self._slots_stale = True
-        self._slots_arr = np.empty(0, dtype=np.int64)
         self.reserved_bytes = 0.0
         #: KV footprints are a pure function of total tokens; traces
         #: draw lengths from a handful of distributions, so memoizing by
@@ -324,110 +244,38 @@ class Scheduler:
         self.outstanding_tokens += int(totals.sum())
         self.mutations += 1
 
-    def _admit_head(self, now: float) -> SequenceState | None:
-        """Admit the queue head if slots and KV capacity allow."""
-        if not self.queue or len(self.running) >= self.max_batch:
-            return None
-        footprint = self._footprint(self.queue[0])
-        if self.kv_capacity_bytes is not None and \
-                self.reserved_bytes + footprint > self.kv_capacity_bytes:
-            return None
-        request = self.queue.popleft()
-        self.reserved_bytes += footprint
-        state = SequenceState(request=request, admitted_s=now,
-                              context_len=request.prompt_len,
-                              table=self.table)
-        self.running.append(state)
-        self._slots.append(state.slot)
-        self._slots_stale = True
-        return state
-
     def _admit_all(self, now: float) -> list[SequenceState]:
-        """Admit queue heads until slots or KV capacity run out."""
-        if not self.queue or len(self.running) >= self.max_batch:
-            return []
-        if self.kv_capacity_bytes is None:
-            # Unbounded KV: only the slot count gates admission, so the
-            # batch size is known up front and — past the point where
-            # column writes beat scalar stores — the whole cohort lands
-            # in bulk.
-            queue = self.queue
-            take = min(len(queue), self.max_batch - len(self.running))
-            if take > 2:
-                requests = [queue.popleft() for _ in range(take)]
-                return self._admit_bulk(requests, now)
-        admitted = []
-        while True:
-            state = self._admit_head(now)
-            if state is None:
-                return admitted
-            admitted.append(state)
+        """Admit queue heads until slots or KV capacity run out.
 
-    def _admit_bulk(self, requests: list[Request],
-                    now: float) -> list[SequenceState]:
-        """Construct and enroll one admission cohort with column writes.
-
-        Slots are allocated in queue order — the identical recycling
-        sequence the head-by-head path produces — and every column the
-        per-state constructor fills is filled here (fetch columns only
-        *after* all allocs: an alloc may grow the table and replace the
-        column arrays).
+        ``reserved_bytes`` advances by one float addition per admission,
+        in queue order.
         """
-        table = self.table
-        new = SequenceState.__new__
-        admitted = []
-        slot_list = []
-        for request in requests:
-            state = new(SequenceState)
-            state.request = request
-            state.table = table
-            state.slot = slot = table.alloc()
-            slot_list.append(slot)
-            admitted.append(state)
-        ids = [r.req_id for r in requests]
-        plens = [r.prompt_len for r in requests]
-        olens = [r.output_len for r in requests]
-        arrivals = [r.arrival_s for r in requests]
-        # reserved_bytes advances with the same sequential float
-        # additions the head-by-head loop performs.
+        queue = self.queue
+        room = self.max_batch - len(self.running)
+        if not queue or room <= 0:
+            return []
+        capacity = self.kv_capacity_bytes
         footprints = self._footprints
         reserved = self.reserved_bytes
-        for prompt, output in zip(plens, olens):
-            total = prompt + output
+        admitted = []
+        while queue and len(admitted) < room:
+            request = queue[0]
+            total = request.prompt_len + request.output_len
             footprint = footprints.get(total)
             if footprint is None:
-                footprint = footprints[total] = self.kv_bytes(total)
+                footprint = self._footprint_of(total)
+            if capacity is not None and reserved + footprint > capacity:
+                break
+            queue.popleft()
             reserved += footprint
+            admitted.append(SequenceState(request, now, request.prompt_len))
         self.reserved_bytes = reserved
-        slots = np.asarray(slot_list, dtype=np.int64)
-        table.req_id[slots] = ids
-        table.prompt_len[slots] = plens
-        table.output_len[slots] = olens
-        table.arrival_s[slots] = arrivals
-        table.context_len[slots] = plens
-        table.generated[slots] = 0
-        table.admitted_s[slots] = now
-        table.first_token_s[slots] = np.nan
-        table.phase[slots] = PHASE_RUNNING
         self.running.extend(admitted)
-        self._slots.extend(slot_list)
-        self._slots_stale = True
         return admitted
 
-    def _slots_array(self) -> np.ndarray:
-        """Table rows of the running set, in running-list order."""
-        if self._slots_stale:
-            self._slots_arr = np.asarray(self._slots, dtype=np.int64)
-            self._slots_stale = False
-        return self._slots_arr
-
     def release(self, state: SequenceState) -> None:
-        """Free a finished sequence's slot and KV reservation."""
-        index = self.running.index(state)
-        del self.running[index]
-        del self._slots[index]
-        self._slots_stale = True
-        self.table.free(state.slot)
+        """Free a finished sequence's batch slot and KV reservation."""
+        self.running.remove(state)
         self.reserved_bytes -= self._footprint(state.request)
         self.outstanding_tokens -= \
             state.request.total_tokens - state.generated
@@ -438,35 +286,30 @@ class Scheduler:
         """Free a completion cohort in one pass over the running list.
 
         Equivalent to calling :meth:`release` per state in order — the
-        slot-free sequence, the ``reserved_bytes`` float additions, and
-        the surviving running order are all identical — but the list
-        surgery is one rebuild instead of ``len(states)`` O(batch)
-        index-scans.  (``reserved_bytes`` can only dust-clear once the
-        *last* cohort member leaves, so the end-of-loop check matches
-        the per-release one.)
+        ``reserved_bytes`` float subtractions and the surviving running
+        order are identical — but the list surgery is one rebuild
+        instead of ``len(states)`` O(batch) scans.  (``reserved_bytes``
+        can only dust-clear once the *last* cohort member leaves, so the
+        end-of-loop check matches the per-release one.)
         """
         if len(states) == 1:
             self.release(states[0])
             return
         gone = {id(s) for s in states}
         self.running = [s for s in self.running if id(s) not in gone]
-        self._slots = [s.slot for s in self.running]
-        self._slots_stale = True
-        table = self.table
-        slots = [s.slot for s in states]
-        arr = np.asarray(slots, dtype=np.int64)
-        totals = (table.prompt_len[arr] + table.output_len[arr]).tolist()
-        generated = int(table.generated[arr].sum())
-        table.free_many(slots)
         footprints = self._footprints
         reserved = self.reserved_bytes
-        for total in totals:
+        owed = 0
+        for state in states:
+            request = state.request
+            total = request.prompt_len + request.output_len
             footprint = footprints.get(total)
             if footprint is None:
-                footprint = footprints[total] = self.kv_bytes(total)
+                footprint = self._footprint_of(total)
             reserved -= footprint
+            owed += total - state.generated
         self.reserved_bytes = reserved
-        self.outstanding_tokens -= sum(totals) - generated
+        self.outstanding_tokens -= owed
         if not self.running:
             self.reserved_bytes = 0.0  # Clear accumulated float dust.
 
@@ -560,27 +403,13 @@ class ContinuousBatchScheduler(Scheduler):
     name = "continuous"
 
     def plan_step(self, now: float) -> StepPlan:
-        # Decoders are the pre-admission running set; capture its slots
-        # before admitting (admissions only append).
-        slots = self._slots_array()
-        table = self.table
-        live = table.generated[slots] < table.output_len[slots]
+        # Decoders are the pre-admission running set (admissions only
+        # append); kv_ready admissions decode in their admission step.
+        decode = [s for s in self.running
+                  if s.generated < s.request.output_len]
         prefill, ready = split_kv_ready(self._admit_all(now))
-        if ready:
-            # kv_ready admissions decode in their admission step; fall
-            # back to an object plan so the engine's per-state path
-            # initializes them (and callers can inspect plan.decode).
-            decode = [self.running[i]
-                      for i in np.flatnonzero(live).tolist()] + ready
-            return StepPlan(prefill=prefill, decode=decode)
-        if live.all():
-            # The engine releases finishers eagerly, so this is the
-            # steady state: decode the whole running set, identity
-            # index, no per-step array copies.
-            return StepPlan(prefill=prefill, decode_slots=slots,
-                            table=table)
-        return StepPlan(prefill=prefill, decode_slots=slots[live],
-                        decode_index=np.flatnonzero(live), table=table)
+        decode.extend(ready)
+        return StepPlan(prefill=prefill, decode=decode)
 
 
 class StaticBatchScheduler(Scheduler):
@@ -590,13 +419,8 @@ class StaticBatchScheduler(Scheduler):
 
     def plan_step(self, now: float) -> StepPlan:
         if self.running:
-            slots = self._slots_array()
-            table = self.table
-            live = table.generated[slots] < table.output_len[slots]
-            if live.all():
-                return StepPlan(decode_slots=slots, table=table)
-            return StepPlan(decode_slots=slots[live],
-                            decode_index=np.flatnonzero(live), table=table)
+            return StepPlan(decode=[s for s in self.running
+                                    if s.generated < s.request.output_len])
         prefill, ready = split_kv_ready(self._admit_all(now))
         return StepPlan(prefill=prefill, decode=ready)
 

@@ -18,6 +18,7 @@ from repro.llm import (
 )
 from repro.serve import (
     LengthSpec,
+    Request,
     ServingEngine,
     bursty_trace,
     make_scheduler,
@@ -261,6 +262,15 @@ class TestEngine:
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError):
             simulate_trace(tiny_design(), TINY_GQA, [])
+
+    @pytest.mark.parametrize("policy", ["continuous", "paged"])
+    def test_duplicate_req_ids_rejected(self, policy):
+        """A repeated id would yield two records under one id (peak
+        reservation) or crash mid-run on the block table (paged)."""
+        trace = [Request(req_id=7, arrival_s=t, prompt_len=16, output_len=4)
+                 for t in (0.0, 0.5)]
+        with pytest.raises(ConfigError, match="duplicate req_ids"):
+            simulate_trace(tiny_design(), TINY_GQA, trace, policy=policy)
 
     def test_single_request_timing(self):
         trace = steady_trace(n_requests=1, rate_rps=1.0,
