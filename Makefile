@@ -3,7 +3,7 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint demos bench-gate bench-baseline sweep-smoke \
-	search-smoke auto-config serving-claims
+	search-smoke auto-config serving-claims paper-claims
 
 test:
 	$(PY) -m pytest -x -q
@@ -39,6 +39,24 @@ serving-claims:
 		benchmarks/bench_cluster_serving.py \
 		benchmarks/bench_autoscaling_serving.py \
 		benchmarks/bench_table3_end_to_end.py --benchmark-disable -q
+
+# The paper's figure and ablation claims asserted by their benches:
+# every Fig. bench except Fig. 4 and Fig. 6 (which wait for smoke-sized
+# configs), both ablation benches, and the parallel-scaling sweep.
+# About 30 s on a 2-vCPU host, most of it Fig. 7's per-layer tuning.
+paper-claims:
+	$(PY) -m pytest benchmarks/bench_fig07_per_layer_tuning.py \
+		benchmarks/bench_fig08_relative_error.py \
+		benchmarks/bench_fig11_nonlinear_iso_area.py \
+		benchmarks/bench_fig12_gemm_iso_area.py \
+		benchmarks/bench_fig13_breakdown.py \
+		benchmarks/bench_fig14_batch_sweep.py \
+		benchmarks/bench_fig15_carbon.py \
+		benchmarks/bench_fig16_latency_breakdown.py \
+		benchmarks/bench_fig17_noc_scaling.py \
+		benchmarks/bench_ablation_design_choices.py \
+		benchmarks/bench_ablation_extensions.py \
+		benchmarks/bench_parallel_scaling.py --benchmark-disable -q
 
 # Two-worker end-to-end smoke of the multiprocess sweep executor.
 sweep-smoke:

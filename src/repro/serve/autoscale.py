@@ -42,9 +42,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
@@ -53,7 +54,7 @@ from .engine import ServingEngine
 from .metrics import FleetReport
 from .router import Router, make_router
 from .scheduler import make_scheduler
-from .trace import Request, offered_load_rps
+from .trace import Request, arrival_times, offered_load_rps
 
 __all__ = [
     "AUTOSCALERS",
@@ -606,7 +607,7 @@ class AutoscalingCluster:
             self._decide(tick_t)
             next_tick = tick_t + self.tick_s
 
-    def _drive_fleet(self, pending: list, times: np.ndarray) -> None:
+    def _drive_fleet(self, pending: list, times: list) -> None:
         """Compressed fleet loop: heap clock + cohorts + O(1) counters.
 
         Replaces the legacy loop's four per-iteration fleet scans
@@ -625,7 +626,7 @@ class AutoscalingCluster:
         n_pending = len(pending)
         next_tick = self.tick_s
         while True:
-            arrival_t = float(times[idx]) if idx < n_pending else inf
+            arrival_t = times[idx] if idx < n_pending else inf
             ready_t = self._ready_t
             # Ticks stop once nothing can ever arrive or run again —
             # the loop must not scale an empty fleet forever.
@@ -690,11 +691,8 @@ class AutoscalingCluster:
                 # commit callback shrinks it).
                 targets = self._routable()
                 bound = worker_now if worker_now < tick_t else tick_t
-                upto = n_pending if bound == inf else \
-                    int(np.searchsorted(times, bound, side="right"))
-                if ready_t < inf:
-                    upto = min(upto, int(np.searchsorted(
-                        times, ready_t, side="left")))
+                upto = min(bisect_right(times, bound, idx),
+                           bisect_left(times, ready_t, idx))
 
                 def commit(request: Request, rep: FleetReplica) -> bool:
                     nonlocal idx, bound
@@ -707,12 +705,13 @@ class AutoscalingCluster:
                     engine = rep.engine
                     had_work = engine.has_work()
                     before = rep.outstanding_tokens
-                    engine.advance_to(request.arrival_s)
+                    arrival = times[idx]
+                    engine.advance_to(arrival)
                     engine.submit(sub)
                     self._active_outstanding += \
                         rep.outstanding_tokens - before
                     rep.routed += 1
-                    rep.arrivals.append(request.arrival_s)
+                    rep.arrivals.append(arrival)
                     self._routed_total += 1
                     self._window_arrivals += 1
                     if not had_work:
@@ -741,6 +740,7 @@ class AutoscalingCluster:
         if not trace:
             raise ConfigError("empty trace")
         pending = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
+        times = arrival_times(pending)
         ids = {r.req_id for r in pending}
         if len(ids) != len(pending):
             raise ConfigError("trace has duplicate req_ids; cluster "
@@ -753,7 +753,7 @@ class AutoscalingCluster:
         self._scale_events: list = []
         self._cold_starts = 0
         self._cold_start_seconds = 0.0
-        #: Per-retirement on-time spans, summed vectorized at teardown.
+        #: Per-retirement on-time spans, folded at teardown.
         self._replica_deltas: list = []
         self._makespan = 0.0
         self._window_arrivals = 0
@@ -783,8 +783,6 @@ class AutoscalingCluster:
         if legacy:
             self._drive_legacy(pending)
         else:
-            times = np.fromiter((r.arrival_s for r in pending),
-                                dtype=np.float64, count=len(pending))
             self._drive_fleet(pending, times)
 
         if self._completed_total != len(pending):
@@ -801,10 +799,10 @@ class AutoscalingCluster:
                 self._retire(rep, end_t)
             elif rep.state == "provisioning":
                 self._cancel(rep, end_t)
-        # Replica on-time, summed with numpy's sequential-accumulation
-        # semantics (bit-equal to the retired-order += chain).
-        replica_seconds = float(np.cumsum(np.asarray(
-            self._replica_deltas))[-1]) if self._replica_deltas else 0.0
+        # Replica on-time: a left fold in retirement order, bit-equal
+        # to the retired-order += chain (every fleet retires at least
+        # its initial replica, so the series is never empty).
+        replica_seconds = reduce(add, self._replica_deltas)
         # Each retired replica's records are already in finish order;
         # the fleet-wide (finish_s, req_id) order is a k-way merge of
         # the per-replica streams (sorted first so simultaneous

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from ..errors import ConfigError
 from ..parallel.collective import DEFAULT_INTERCONNECT, InterconnectConfig
@@ -49,7 +48,7 @@ from .engine import ServingEngine
 from .metrics import ClusterReport, RequestRecord
 from .router import Router, make_router
 from .scheduler import make_scheduler
-from .trace import Request, offered_load_rps
+from .trace import Request, arrival_times, offered_load_rps
 
 __all__ = ["Replica", "ServingCluster", "make_cluster"]
 
@@ -424,7 +423,7 @@ class ServingCluster:
                 self._route_to(self.decode_router.select(sub, targets),
                                sub, when)
 
-    def _drive_unified(self, pending: list, times: np.ndarray) -> None:
+    def _drive_unified(self, pending: list, times: list) -> None:
         """Unified-mode compressed loop: span advance + cohort routing.
 
         Between two external events, unified replicas are completely
@@ -445,7 +444,7 @@ class ServingCluster:
         n_pending = len(pending)
         targets = self._arrival_targets()
         while True:
-            arrival_t = float(times[idx]) if idx < n_pending else inf
+            arrival_t = times[idx] if idx < n_pending else inf
             busy_min = inf
             for rep in replicas:
                 engine = rep.engine
@@ -468,12 +467,11 @@ class ServingCluster:
             # whose clock lands below a later arrival; the commit
             # callback shrinks the bound, ending the cohort exactly
             # where the stepwise loop would have stepped first.
-            upto = n_pending if busy_min == inf else \
-                int(np.searchsorted(times, busy_min, side="right"))
+            upto = bisect_right(times, busy_min, idx)
 
             def commit(request: Request, rep: Replica) -> bool:
                 nonlocal idx, busy_min
-                self._route_to(rep, replace(request), request.arrival_s)
+                self._route_to(rep, replace(request), times[idx])
                 idx += 1
                 now = rep.engine.now
                 if now < busy_min:
@@ -482,8 +480,7 @@ class ServingCluster:
 
             self.router.select_batch(pending[idx:upto], targets, commit)
 
-    def _drive_disaggregated(self, pending: list,
-                             times: np.ndarray) -> None:
+    def _drive_disaggregated(self, pending: list, times: list) -> None:
         """Disaggregated compressed loop: lazy min-heap replica clock.
 
         Migration interleaving couples the replicas (a prefill
@@ -501,7 +498,7 @@ class ServingCluster:
         targets = self._arrival_targets()
         decode_targets = self._decode_targets()
         while True:
-            arrival_t = float(times[idx]) if idx < n_pending else inf
+            arrival_t = times[idx] if idx < n_pending else inf
             migration_t = self._migrations[0][0] if self._migrations \
                 else inf
             next_event = arrival_t if arrival_t <= migration_t \
@@ -544,14 +541,13 @@ class ServingCluster:
                 # only steps can spawn — none happen inside a cohort).
                 bound = worker_now if worker_now < migration_t \
                     else migration_t
-                upto = n_pending if bound == inf else \
-                    int(np.searchsorted(times, bound, side="right"))
+                upto = bisect_right(times, bound, idx)
 
                 def commit(request: Request, rep: Replica) -> bool:
                     nonlocal idx, bound
                     self._origins[request.req_id] = request
                     sub = replace(request, output_len=1)
-                    self._route_to(rep, sub, request.arrival_s)
+                    self._route_to(rep, sub, times[idx])
                     heapq.heappush(heap, (rep.engine.now, rep.index))
                     idx += 1
                     now = rep.engine.now
@@ -578,6 +574,7 @@ class ServingCluster:
         if not trace:
             raise ConfigError("empty trace")
         pending = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
+        times = arrival_times(pending)
         self._validate(pending)
         self.router.reset()
         self.decode_router.reset()
@@ -600,8 +597,6 @@ class ServingCluster:
         if legacy:
             self._drive_legacy(pending)
         else:
-            times = np.fromiter((r.arrival_s for r in pending),
-                                dtype=np.float64, count=len(pending))
             if self.mode == "unified":
                 self._drive_unified(pending, times)
             else:

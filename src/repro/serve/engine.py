@@ -55,10 +55,11 @@ horizon up to which leaping is safe.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import attrgetter
-
-import numpy as np
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, attrgetter
 
 from ..arch.simulator import SimulationResult
 from ..arch.technology import TECH_45NM
@@ -67,7 +68,7 @@ from ..llm.config import ModelConfig
 from .costs import step_cost_store
 from .metrics import RequestRecord, ServingReport
 from .scheduler import Scheduler, StepPlan, make_scheduler
-from .trace import Request, offered_load_rps
+from .trace import Request, arrival_times, offered_load_rps
 
 
 class ServingEngine:
@@ -446,39 +447,26 @@ class ServingEngine:
         The four running sums (clock, energy, communication, busy time)
         must advance with the *same sequential float additions* the
         stepwise loop performs — float addition does not associate, and
-        the reports must match bit for bit.  ``np.cumsum`` accumulates
-        left to right with exactly those semantics, so for long windows
-        the whole chain is built as a ``(4, window+1)`` prefix-sum array
-        — column 0 the current accumulators, the rest the per-step
-        deltas — and ``searchsorted`` finds how many steps fit under the
-        horizon (the clock column is non-decreasing; ``side="left"``
-        mirrors the loop's strict ``now < horizon`` test).
+        the reports must match bit for bit.  ``accumulate`` builds the
+        clock chain left to right (entry ``k`` is the start of leapt
+        step ``k``), ``bisect_left`` counts the steps that start
+        strictly before the horizon (the chain never decreases, and
+        ``left`` mirrors the loop's strict ``now < horizon`` test), and
+        ``reduce(add, ...)`` folds the other three sums over exactly
+        those steps, each one addition at a time.
         """
-        if window < 8:  # The array setup only pays off past a few steps.
-            report = self._report
-            leapt = 0
-            while leapt < window and self._now < horizon:
-                self._now += duration
-                report.energy_j += energy
-                report.comm_seconds += comm
-                report.busy_seconds += duration
-                leapt += 1
-            return leapt
-        report = self._report
-        series = np.empty((4, window + 1))
-        series[:, 0] = (self._now, report.energy_j, report.comm_seconds,
-                        report.busy_seconds)
-        series[0, 1:] = duration
-        series[1, 1:] = energy
-        series[2, 1:] = comm
-        series[3, 1:] = duration
-        acc = np.cumsum(series, axis=1)
-        leapt = int(np.searchsorted(acc[0, :window], horizon, side="left"))
+        clocks = list(accumulate(repeat(duration, window),
+                                 initial=self._now))
+        leapt = bisect_left(clocks, horizon, 0, window)
         if leapt:
-            self._now = float(acc[0, leapt])
-            report.energy_j = float(acc[1, leapt])
-            report.comm_seconds = float(acc[2, leapt])
-            report.busy_seconds = float(acc[3, leapt])
+            report = self._report
+            self._now = clocks[leapt]
+            report.energy_j = reduce(add, repeat(energy, leapt),
+                                     report.energy_j)
+            report.comm_seconds = reduce(add, repeat(comm, leapt),
+                                         report.comm_seconds)
+            report.busy_seconds = reduce(add, repeat(duration, leapt),
+                                         report.busy_seconds)
         return leapt
 
     def _chunk_leap(self, plan: StepPlan, horizon: float) -> None:
@@ -567,6 +555,7 @@ class ServingEngine:
             raise ConfigError("empty trace")
         pending = sorted(trace, key=attrgetter("arrival_s", "req_id"))
         # Fail before simulating anything, not mid-run at enqueue.
+        arrivals = arrival_times(pending)
         if len({r.req_id for r in pending}) != len(pending):
             raise ConfigError("trace has duplicate req_ids; records and "
                               "KV block tables are keyed by req_id")
@@ -574,15 +563,12 @@ class ServingEngine:
         if error:
             raise ConfigError(f"unservable trace: {error}")
         self.start(offered_rps=offered_load_rps(trace))
-        arrivals = np.fromiter((r.arrival_s for r in pending),
-                               dtype=np.float64, count=len(pending))
         idx, n = 0, len(pending)
         while idx < n or self.scheduler.has_work():
             if idx < n and arrivals[idx] <= self._now:
                 # Ingest every request that has arrived by the clock in
                 # one slice (arrivals is sorted).
-                upto = int(np.searchsorted(arrivals, self._now,
-                                           side="right"))
+                upto = bisect_right(arrivals, self._now, idx)
                 self.scheduler.enqueue_many(pending[idx:upto])
                 idx = upto
             # The next un-ingested arrival bounds how far a committed
@@ -596,7 +582,7 @@ class ServingEngine:
             # planned-step count from one-per-arrival to
             # one-per-completion-or-bucket-crossing.
             if idx < n and not self.scheduler.arrivals_inert():
-                horizon = float(arrivals[idx])
+                horizon = arrivals[idx]
             else:
                 horizon = math.inf
             if self.step(horizon=horizon):
@@ -608,7 +594,7 @@ class ServingEngine:
                     f"scheduler {self.scheduler.name} stalled with "
                     f"work queued but nothing planned")
             # Idle: jump to the next arrival.
-            self.advance_to(float(arrivals[idx]))
+            self.advance_to(arrivals[idx])
         return self.finish()
 
 

@@ -283,6 +283,15 @@ POLICIES = {cls.name: cls for cls in (
     FairSharePolicy, TenantPriorityPolicy)}
 
 
+def _first_crossings(manager: BlockManager, decode: list) -> list:
+    """Sorted first leapt steps at which each decoder opens a block: one
+    holding ``t`` KV tokens opens a block at step ``(-t) % size + 1``
+    (within the first block period) and every ``size`` steps after."""
+    tokens_of, size = manager.tokens_of, manager.block_size
+    return sorted([(-tokens_of(s.request.req_id)) % size + 1
+                   for s in decode])
+
+
 class PagedScheduler:
     """Block-granular continuous batching with chunked prefill.
 
@@ -552,6 +561,11 @@ class PagedScheduler:
           therefore bounded by the **free** list alone (no evictions
           can occur), while the heads themselves stay blocked because
           available blocks only shrink across a pure-decode window.
+
+        Demand has a closed form: with the first crossings sorted
+        (:func:`_first_crossings`), the set's ``m``-th block crossing
+        (0-based) lands at step ``firsts[m % n] + (m // n) * size``, so
+        the window ends one step before crossing number ``bound``.
         """
         if self._preempted_in_last_plan:
             # The committed plan evicted someone: blocks freed and the
@@ -561,53 +575,44 @@ class PagedScheduler:
         manager = self.block_manager
         bound = manager.free_blocks if (self.waiting or self.swapped) \
             else manager.available_blocks
-        size = manager.block_size
-        tokens = np.fromiter(
-            (manager.tokens_of(s.request.req_id) for s in plan.decode),
-            dtype=np.int64, count=len(plan.decode))
-        anchors = (tokens + size - 1) // size
-
-        def blocks_demanded(steps: int) -> int:
-            return int(((tokens + (steps + size - 1)) // size
-                        - anchors).sum())
-
-        if blocks_demanded(max_steps) <= bound:
-            return max_steps
-        lo, hi = 0, max_steps  # demand(lo) <= bound < demand(hi).
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if blocks_demanded(mid) <= bound:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        firsts = _first_crossings(manager, plan.decode)
+        n = len(firsts)  # A pure-decode plan: at least one decoder.
+        over = firsts[bound % n] + bound // n * manager.block_size
+        return min(max_steps, over - 1)
 
     def commit_leap(self, plan: StepPlan, steps: int) -> list:
         """Apply ``steps`` decode steps of KV growth in one bulk call.
 
-        Reconstructs the per-step utilization series exactly: each
-        leapt step's live-block count is the anchor count plus every
-        block boundary the active set has crossed by that step — the
-        same integers the stepwise schedule's per-token extends would
-        have produced, divided by the same pool size.
+        Reconstructs the per-step utilization series exactly: live
+        blocks rise by one at each block crossing (:meth:`leap_window`'s
+        closed form) and hold between crossings, so the series is runs
+        of ``(live0 + g) / num_blocks`` — the integers and ``int / int``
+        divisions of the stepwise schedule's per-token extends.
         """
         manager = self.block_manager
-        seq_ids = [s.request.req_id for s in plan.decode]
-        tokens = np.asarray([manager.tokens_of(i) for i in seq_ids])
+        firsts = _first_crossings(manager, plan.decode)
         live0 = manager.live_blocks
-        size = manager.block_size
-        js = np.arange(1, steps + 1)
-        grown = ((tokens[:, None] + js[None, :] + size - 1) // size
-                 - (tokens[:, None] + size - 1) // size).sum(axis=0)
-        if not manager.extend_bulk([(i, steps) for i in seq_ids]):
+        if not manager.extend_bulk(
+                [(s.request.req_id, steps) for s in plan.decode]):
             raise ConfigError("decode leap overran the block pool; "
                               "leap_window under-counted demand")
-        if manager.live_blocks != live0 + int(grown[-1]):
+        num_blocks = manager.num_blocks
+        series: list = []
+        live, emitted = live0, 0
+        # A crossing past ``steps`` ends the last period range visits.
+        for period in range(0, steps, manager.block_size):
+            for first in firsts:
+                at = first + period  # The step whose extend opens a block.
+                if at > steps:
+                    break
+                series += [live / num_blocks] * (at - 1 - emitted)
+                emitted = at - 1
+                live += 1
+        series += [live / num_blocks] * (steps - emitted)
+        if manager.live_blocks != live:
             raise ConfigError("leap block accounting diverged from the "
                               "pool (copy-on-write inside a leap?)")
-        # live0 + grown is exact int64 arithmetic; the float64 divide
-        # rounds each ratio exactly as the stepwise ``int / int`` would.
-        return ((live0 + grown) / manager.num_blocks).tolist()
+        return series
 
     # -- chunked-prefill leaping ------------------------------------------
     def chunk_leap_window(self, task: ChunkTask) -> int:
@@ -662,30 +667,28 @@ class PagedScheduler:
         """Apply ``steps`` leapt prefill chunks of KV growth in one call.
 
         The exact analogue of :meth:`commit_leap` for a lone chunked
-        prefill: reconstructs the per-step utilization series from
-        block-boundary crossings, grows the block table through one
-        bulk extend, and verifies the pool agrees with the
-        reconstruction.
+        prefill: one bulk extend, then the series in closed form (after
+        leapt chunk ``j`` the sequence holds ``blocks_needed(tokens + j
+        * chunk)`` blocks) checked against the pool.
         """
         manager = self.block_manager
         state = task.state
         seq_id = state.request.req_id
         chunk = task.new
         tokens = manager.tokens_of(seq_id)
-        live0 = manager.live_blocks
-        size = manager.block_size
-        js = np.arange(1, steps + 1, dtype=np.int64)
-        grown = ((tokens + js * chunk + size - 1) // size
-                 - (tokens + size - 1) // size)
+        others = manager.live_blocks - manager.blocks_needed(tokens)
         if not manager.extend_bulk([(seq_id, steps * chunk)]):
             raise ConfigError("chunk leap overran the block pool; "
                               "chunk_leap_window under-counted demand")
-        if manager.live_blocks != live0 + int(grown[-1]):
+        if manager.live_blocks != others + manager.blocks_needed(
+                tokens + steps * chunk):
             raise ConfigError("chunk-leap block accounting diverged from "
                               "the pool")
         state.prefilled += steps * chunk
         num_blocks = manager.num_blocks
-        return [(live0 + int(g)) / num_blocks for g in grown]
+        size = manager.block_size
+        return [(others + -(-(tokens + j * chunk) // size)) / num_blocks
+                for j in range(1, steps + 1)]
 
     # -- preemption ------------------------------------------------------
     def _pick_victim(self, exclude_ids: set) -> PagedSequenceState | None:

@@ -21,6 +21,7 @@ state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,9 @@ class Request:
     tenant: int = 0
 
     def __post_init__(self):
-        if self.arrival_s < 0:
-            raise ConfigError("arrival_s must be non-negative")
+        # NaN compares false against every clock: loops would wait on it.
+        if not math.isfinite(self.arrival_s) or self.arrival_s < 0:
+            raise ConfigError("arrival_s must be finite and non-negative")
         if self.tenant < 0:
             raise ConfigError("tenant id must be non-negative")
         if self.prompt_len < 1 or self.output_len < 1:
@@ -237,8 +239,8 @@ def _build_requests(arrivals, prompts, outputs, levels, groups,
     same instances a field-by-field construction would yield (dataclass
     ``__eq__``/``replace`` read the instance dict), ~6× faster.
     """
-    if arrivals.size and float(arrivals[0]) < 0:
-        raise ConfigError("arrival_s must be non-negative")
+    if not ((0 <= arrivals) & (arrivals < np.inf)).all():
+        raise ConfigError("arrival_s must be finite and non-negative")
     if (np.minimum(prompts, outputs) < 1).any():
         raise ConfigError("prompt_len and output_len must be positive")
     grouped = groups >= 0
@@ -554,6 +556,17 @@ def requests_from_columns(columns: tuple) -> list[Request]:
         columns
     return _build_requests(arrivals, prompts, outputs, levels, groups,
                            prefix_lens, tenants=tenants)
+
+
+def arrival_times(requests: list[Request]) -> list[float]:
+    """Arrival times as Python floats, converted once: the event loops
+    bisect them and set engine clocks from them on every event.  A
+    non-finite one that got past ``Request``'s own check would stall
+    those loops, so it raises."""
+    times = [float(r.arrival_s) for r in requests]
+    if not all(map(math.isfinite, times)):
+        raise ConfigError("arrival_s must be finite")
+    return times
 
 
 def offered_load_rps(trace: list[Request]) -> float:

@@ -1,9 +1,16 @@
 """Serving simulator tests: traces, schedulers, engine invariants."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.arch import make_design
 from repro.core.gemm import schedule_vlp_gemm
 from repro.errors import ConfigError
@@ -27,6 +34,7 @@ from repro.serve import (
     simulate_trace,
     steady_trace,
 )
+from repro.serve.trace import requests_from_columns, trace_columns
 
 #: A GQA-group-8 model small enough for fast engine tests.
 TINY_GQA = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
@@ -34,6 +42,36 @@ TINY_GQA = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
                        ffn_dim=1024, max_seq_len=2048, vocab_size=1000)
 
 SHORT = LengthSpec("uniform", low=4, high=48)
+
+#: Serves a two-request trace whose second arrival is NaN through the
+#: engine, a cluster and a fleet, printing each runner that raised.
+NAN_TRACE_SCRIPT = """
+import math
+from repro.arch import make_design
+from repro.errors import ConfigError
+from repro.llm import ModelConfig
+from repro.serve import (Request, make_autoscaling_cluster, make_cluster,
+                         simulate_trace)
+
+config = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
+                     n_heads=16, n_kv_heads=2, hidden_dim=512,
+                     ffn_dim=1024, max_seq_len=2048, vocab_size=1000)
+design = make_design("mugi", 64)
+runners = {
+    "engine": lambda t: simulate_trace(design, config, t),
+    "cluster": lambda t: make_cluster(design, config, 2).run(t),
+    "fleet": lambda t: make_autoscaling_cluster(design, config, 2).run(t),
+}
+for name, run in runners.items():
+    trace = [Request(req_id=i, arrival_s=0.0, prompt_len=8, output_len=4)
+             for i in range(2)]
+    # A mutated frozen instance gets past Request's own validation.
+    object.__setattr__(trace[1], "arrival_s", math.nan)
+    try:
+        run(trace)
+    except ConfigError:
+        print(name)
+"""
 
 
 def tiny_design():
@@ -77,6 +115,34 @@ class TestTraces:
         with pytest.raises(ConfigError):
             bursty_trace(n_requests=10, burst_size=5, burst_period_s=10.0,
                          jitter_s=-1.0)
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf,
+                                         -1.0])
+    def test_request_rejects_bad_arrival(self, arrival):
+        with pytest.raises(ConfigError, match="arrival_s must be finite"):
+            Request(req_id=0, arrival_s=arrival, prompt_len=4,
+                    output_len=4)
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf])
+    def test_bulk_construction_rejects_non_finite_arrivals(self, arrival):
+        columns = trace_columns(poisson_trace(n_requests=5, rate_rps=1.0))
+        arrivals = columns[0].copy()
+        arrivals[-1] = arrival
+        with pytest.raises(ConfigError, match="arrival_s must be finite"):
+            requests_from_columns((arrivals,) + columns[1:])
+
+    def test_nan_trace_raises_instead_of_hanging(self):
+        # A NaN arrival compares false against every clock, so a loop
+        # waiting for it would spin forever: run the three loops in a
+        # child process under a timeout.
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", NAN_TRACE_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["engine", "cluster", "fleet"]
 
     def test_offered_load(self):
         trace = steady_trace(n_requests=11, rate_rps=2.0)
