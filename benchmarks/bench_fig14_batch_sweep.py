@@ -3,7 +3,8 @@
 Geomean over the Llama family, normalized to an 8×8 systolic array at
 batch 1.  Checks the headline: Mugi peaks at batch 8 (its column count),
 systolic/SIMD arrays peak only at batch = dim, and Mugi's energy/token
-beats the baselines at the service batch of 8.
+beats the baselines at the service batch of 8.  Every design's peak
+batch at seq 4096 is pinned in ``BENCH_paper.json``.
 """
 
 from conftest import once
@@ -12,7 +13,7 @@ from repro.analysis.experiments import batch_sweep
 from repro.analysis.tables import render_table
 
 
-def test_fig14_batch_sweep(benchmark, save_result):
+def test_fig14_batch_sweep(benchmark, save_result, paper_claims):
     points = once(benchmark, batch_sweep.run,
                   batches=(1, 2, 4, 8, 16, 32), seq_lens=(128, 1024, 4096))
     norm = batch_sweep.normalize(points)
@@ -30,6 +31,9 @@ def test_fig14_batch_sweep(benchmark, save_result):
         rows, title="Fig. 14: batch sweep vs SA (8) at batch 1, "
                     "geomean over Llama family")
     save_result("fig14_batch_sweep", table)
+
+    assert {design: batch_sweep.peak_batch(points, design, 4096)
+            for design in norm} == paper_claims["fig14_peak_batch_seq4096"]
 
     # Mugi reaches (95% of) its peak at batch 8; SA (16) needs 16.
     for seq_len in (128, 1024, 4096):

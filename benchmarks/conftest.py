@@ -8,11 +8,14 @@ reproduction artefacts survive the run.
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: The simulator's own values of the paper's headline claims.
+PAPER_CLAIMS = pathlib.Path(__file__).parent.parent / "BENCH_paper.json"
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +40,9 @@ def once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1)
+
+
+@pytest.fixture(scope="session")
+def paper_claims() -> dict:
+    """The values pinned in ``BENCH_paper.json``."""
+    return json.loads(PAPER_CLAIMS.read_text())

@@ -3,6 +3,7 @@
 from .base import (
     BREAKDOWN_CATEGORIES,
     COLLECTIVE_KINDS,
+    NONLINEAR_OPS,
     AcceleratorDesign,
     AreaBreakdown,
     CollectiveOp,
@@ -31,6 +32,7 @@ __all__ = [
     "GemmOp",
     "MugiDesign",
     "MugiLDesign",
+    "NONLINEAR_OPS",
     "NonlinearOp",
     "OpCost",
     "PRECISE_NONLINEAR_CYCLES",

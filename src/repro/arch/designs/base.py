@@ -75,11 +75,16 @@ class GemmOp:
         return self.m * self.k * self.act_bits / 8 + self.m * self.n * 2
 
 
+#: Nonlinear op names the cost models understand: the attention softmax,
+#: the FFN activations, and the §7.1 auxiliary LayerNorm and RoPE.
+NONLINEAR_OPS = ("softmax", "silu", "gelu", "layernorm", "rope")
+
+
 @dataclass(frozen=True)
 class NonlinearOp:
     """One nonlinear activation pass.
 
-    ``op`` is "softmax", "silu", or "gelu"; ``rows`` is the number of
+    ``op`` is one of :data:`NONLINEAR_OPS`; ``rows`` is the number of
     softmax reduction rows (reciprocals), 0 for elementwise ops.
     """
 
@@ -90,6 +95,9 @@ class NonlinearOp:
     count: int = 1
 
     def __post_init__(self):
+        if self.op not in NONLINEAR_OPS:
+            raise MappingError(f"unknown nonlinear op {self.op!r}; "
+                               f"choose from {NONLINEAR_OPS}")
         if self.elements < 1:
             raise MappingError("nonlinear op needs at least one element")
         if self.op == "softmax" and self.rows < 1:

@@ -11,28 +11,69 @@ graph (from :mod:`repro.llm.workload`) into the Table 3 metrics:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
-from .designs.base import CollectiveOp, GemmOp, NonlinearOp, OpCost
+from .designs.base import CollectiveOp, GemmOp, NonlinearOp
 from .technology import TECH_45NM, TechnologyModel
 
 #: Latency-breakdown buckets of Fig. 16 (+ collective communication).
 BREAKDOWN_KINDS = ("projection", "attention", "ffn", "nonlinear",
                    "collective")
+_PROJECTION, _ATTENTION, _FFN, _NONLINEAR, _COLLECTIVE = \
+    range(len(BREAKDOWN_KINDS))
+#: Bucket of each GEMM kind; any other kind is a projection.
+_GEMM_BUCKETS = {"attention_qk": _ATTENTION, "attention_pv": _ATTENTION,
+                 "attention": _ATTENTION, "ffn": _FFN}
 
 
-def _bucket(op) -> str:
-    """Map an op to its Fig. 15/16 breakdown bucket."""
-    if isinstance(op, CollectiveOp):
-        return "collective"
-    if isinstance(op, NonlinearOp):
-        return "nonlinear"
-    if op.kind in ("attention_qk", "attention_pv", "attention"):
-        return "attention"
-    if op.kind == "ffn":
-        return "ffn"
-    return "projection"
+def op_terms(design, op, frequency_hz: float) -> tuple:
+    """The addends one op contributes to the simulator's sums.
+
+    Returns ``(bucket, cycles, energy, bucket_energy, comm_energy,
+    hbm_bytes, comm_seconds, comm_cycles, macs)``.  ``bucket`` indexes
+    :data:`BREAKDOWN_KINDS`.  Every other term is already scaled by
+    ``op.count``:
+
+    * ``energy`` is dynamic plus wire energy, and ``bucket_energy`` the
+      dynamic part alone;
+    * ``comm_cycles`` is the communication time in clock-equivalent
+      cycles at ``frequency_hz``;
+    * ``macs`` is the integer MAC count, 0 for non-GEMM ops.
+
+    This is the one per-op dispatch: :func:`simulate_workload` and
+    :class:`repro.llm.StepCostSurface` both fold these terms.  Anything
+    that is not a GEMM, nonlinear or collective op raises
+    :class:`SimulationError`, and so does a collective on a design
+    without ``collective_cost``.
+    """
+    # Dispatch on the type before reading op.count: a str has .count.
+    if isinstance(op, GemmOp):
+        cost = design.gemm_cost(op)
+        bucket = _GEMM_BUCKETS.get(op.kind, _PROJECTION)
+        macs = op.macs * op.count
+    elif isinstance(op, NonlinearOp):
+        cost = design.nonlinear_cost(op)
+        bucket, macs = _NONLINEAR, 0
+    elif isinstance(op, CollectiveOp):
+        collective_cost = getattr(design, "collective_cost", None)
+        if collective_cost is None:
+            raise SimulationError(
+                f"{getattr(design, 'name', type(design).__name__)} "
+                f"cannot price collective ops; wrap the chip in a "
+                f"repro.parallel.ShardedSystem")
+        cost = collective_cost(op)
+        bucket, macs = _COLLECTIVE, 0
+    else:
+        raise SimulationError(f"unknown op type {type(op).__name__}")
+    count = op.count
+    comm_seconds = cost.comm_seconds * count
+    return (bucket, cost.cycles * count,
+            (cost.energy_pj + cost.comm_energy_pj) * count,
+            cost.energy_pj * count, cost.comm_energy_pj * count,
+            cost.hbm_bytes * count, comm_seconds,
+            comm_seconds * frequency_hz, macs)
 
 
 @dataclass
@@ -121,10 +162,26 @@ class SimulationResult:
         return self.total_macs / self.hbm_bytes
 
 
-def simulate_workload(design, ops: list, tokens_per_step: int,
+def simulate_workload(design, ops, tokens_per_step: int,
                       tech: TechnologyModel | None = None
                       ) -> SimulationResult:
     """Run an operator list through a design's cost model.
+
+    The decode and serving-step builders repeat one layer's op objects
+    ``n_layers`` times, so a graph of hundreds of ops holds a handful of
+    distinct objects (Llama-2-70B decode at batch 8: 641 ops, 9
+    distinct).  Each distinct object is priced once, by
+    :func:`op_terms`, into the addends the sums need.  The loop then
+    replays the sums element by element, in list order, from those
+    terms, so every total is the same sequence of float additions as
+    pricing each element afresh: bit-identical, at one dict probe and a
+    few adds per element.
+
+    The terms are keyed by ``id(op)``, because hashing a frozen op costs
+    more than the pricing it saves.  An id is unique only while its
+    object lives, so every cache entry holds its op until the call
+    returns.  Otherwise a generator of freshly built ops could hand a
+    new op the id, and the stale terms, of a freed one.
 
     Parameters
     ----------
@@ -140,61 +197,63 @@ def simulate_workload(design, ops: list, tokens_per_step: int,
         :func:`repro.llm.build_sharded_step_ops` shard through it would
         split the ops twice.
     ops:
-        Sequence of :class:`GemmOp` / :class:`NonlinearOp` /
+        Iterable of :class:`GemmOp` / :class:`NonlinearOp` /
         :class:`CollectiveOp` describing one decode step (or prefill
-        pass).
+        pass); it must yield at least one op.
     tokens_per_step:
-        Tokens produced per step (the batch size for decode).
+        Tokens produced per step (the batch size for decode), an
+        integer >= 1.
     tech:
         Timing constants; defaults to the design's own ``tech`` (which a
         sharded system scales to its aggregate HBM bandwidth), falling
         back to :data:`TECH_45NM`.
     """
+    try:
+        tokens_per_step = operator.index(tokens_per_step)
+    except TypeError:
+        raise SimulationError(
+            f"tokens_per_step must be an integer, got "
+            f"{tokens_per_step!r}") from None
     if tokens_per_step < 1:
         raise SimulationError("tokens_per_step must be >= 1")
     if tech is None:
         tech = getattr(design, "tech", TECH_45NM)
+    frequency_hz = tech.frequency_hz
     total_cycles = 0.0
     total_energy_pj = 0.0
     total_hbm = 0.0
     total_macs = 0
     total_comm_s = 0.0
-    cycles_by_kind = {k: 0.0 for k in BREAKDOWN_KINDS}
-    energy_by_kind = {k: 0.0 for k in BREAKDOWN_KINDS}
+    cycles_by_kind = [0.0] * len(BREAKDOWN_KINDS)
+    energy_by_kind = [0.0] * len(BREAKDOWN_KINDS)
+    # id(op) -> (op, *op_terms): the entry's op keeps its id reserved.
+    priced: dict = {}
 
     for op in ops:
-        if isinstance(op, GemmOp):
-            cost: OpCost = design.gemm_cost(op)
-            total_macs += op.macs * op.count
-        elif isinstance(op, NonlinearOp):
-            cost = design.nonlinear_cost(op)
-        elif isinstance(op, CollectiveOp):
-            collective_cost = getattr(design, "collective_cost", None)
-            if collective_cost is None:
-                raise SimulationError(
-                    f"{getattr(design, 'name', type(design).__name__)} "
-                    f"cannot price collective ops; wrap the chip in a "
-                    f"repro.parallel.ShardedSystem")
-            cost = collective_cost(op)
-        else:
-            raise SimulationError(f"unknown op type {type(op).__name__}")
-        bucket = _bucket(op)
-        count = op.count
-        total_cycles += cost.cycles * count
-        total_energy_pj += (cost.energy_pj + cost.comm_energy_pj) * count
-        total_hbm += cost.hbm_bytes * count
-        total_comm_s += cost.comm_seconds * count
-        cycles_by_kind[bucket] += cost.cycles * count
-        energy_by_kind[bucket] += cost.energy_pj * count
+        try:
+            entry = priced[id(op)]
+        except KeyError:
+            entry = priced[id(op)] = (
+                op, *op_terms(design, op, frequency_hz))
+        (_, bucket, cycles, energy, bucket_energy, comm_energy, hbm,
+         comm_s, comm_cycles, macs) = entry
+        total_cycles += cycles
+        total_energy_pj += energy
+        total_hbm += hbm
+        total_comm_s += comm_s
+        total_macs += macs
+        cycles_by_kind[bucket] += cycles
+        energy_by_kind[bucket] += bucket_energy
         # Communication (carried separately, wherever it rides —
         # explicit collectives or a sharded GEMM's attached all-reduce)
         # is attributed to the "collective" bucket: wire energy
         # directly, time as clock-equivalent cycles.  The time stays out
         # of compute_seconds; the step roofline combines it with
         # comm_seconds via the overlap model.
-        energy_by_kind["collective"] += cost.comm_energy_pj * count
-        cycles_by_kind["collective"] += \
-            cost.comm_seconds * count * tech.frequency_hz
+        energy_by_kind[_COLLECTIVE] += comm_energy
+        cycles_by_kind[_COLLECTIVE] += comm_cycles
+    if not priced:
+        raise SimulationError("simulate_workload needs at least one op")
 
     compute_seconds = total_cycles * tech.cycle_seconds
     memory_seconds = total_hbm / tech.hbm_bandwidth_bytes
@@ -206,8 +265,8 @@ def simulate_workload(design, ops: list, tokens_per_step: int,
         dynamic_energy_j=total_energy_pj * 1e-12,
         area_mm2=design.area_mm2,
         leakage_w=design.leakage_w(),
-        cycles_by_kind=cycles_by_kind,
-        energy_by_kind=energy_by_kind,
+        cycles_by_kind=dict(zip(BREAKDOWN_KINDS, cycles_by_kind)),
+        energy_by_kind=dict(zip(BREAKDOWN_KINDS, energy_by_kind)),
         hbm_bytes=total_hbm,
         total_macs=total_macs,
         comm_seconds=total_comm_s,

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 
+#: FFN nonlinearities the operator graphs and cost models support.
+FFN_ACTIVATIONS = ("silu", "gelu")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -50,6 +53,10 @@ class ModelConfig:
     vocab_size: int = 32000
 
     def __post_init__(self):
+        if self.activation not in FFN_ACTIVATIONS:
+            raise ConfigError(f"{self.name}: unknown activation "
+                              f"{self.activation!r}; choose from "
+                              f"{FFN_ACTIVATIONS}")
         if self.hidden_dim % self.n_heads:
             raise ConfigError(f"{self.name}: hidden_dim must divide by heads")
         if self.n_heads % self.n_kv_heads:

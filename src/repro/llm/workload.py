@@ -24,6 +24,7 @@ from collections import Counter
 from typing import TYPE_CHECKING
 
 from ..arch.designs.base import GemmOp, NonlinearOp
+from ..arch.simulator import SimulationResult, op_terms
 from ..errors import ConfigError
 from .config import ModelConfig
 
@@ -333,9 +334,9 @@ def _step_layer_ops(config: ModelConfig, tokens: int, decode_lens,
 
     Every layer of the step is identical, so the step builders repeat
     this list ``n_layers`` times, and the tensor/pipeline partitioner
-    (:mod:`repro.parallel`) shards it per layer.  The individual op
-    constructors are shared with :class:`StepCostSurface`, which prices
-    the same components out of emission order — keep them in sync.
+    (:mod:`repro.parallel`) shards it per layer.  :class:`StepCostSurface`
+    builds the same components with the same op constructors and prices
+    them with the same per-op terms, out of emission order.
     """
     ops: list = []
     h = config.hidden_dim
@@ -458,11 +459,12 @@ def build_prefill_ops(config: ModelConfig, batch: int, seq_len: int,
 class StepCostSurface:
     """Precomputed per-design cost tables for fused serving steps.
 
-    Walking a serving step's full operator list through
-    :func:`repro.arch.simulate_workload` costs ~100 op constructions and
-    cost-model calls per step even when every per-op cost is memoized on
-    the design.  A step's aggregate cost, though, is *additive* over its
-    ops, and a serving step only ever mixes four component families:
+    Pricing a serving step through :func:`repro.arch.simulate_workload`
+    means building its op list — one layer's ops, with an attention
+    group per distinct context length, repeated ``n_layers`` times —
+    and replaying it.  A step's aggregate cost, though, is *additive*
+    over its ops, and a serving step only ever mixes four component
+    families:
 
     * the token-batched projection/FFN block (keyed by the step's token
       count),
@@ -471,14 +473,17 @@ class StepCostSurface:
       sequences),
     * the LM head (keyed by output tokens).
 
-    This surface prices each distinct component once — with exactly the
-    ops the step builders emit, so every per-op cost is bit-identical to
-    the op-list path — and assembles any bucketed step signature as a
-    table sum.  Versus ``simulate_workload`` over the equivalent op
-    list, results differ only in float-summation *associativity*
+    This surface prices each distinct component once and assembles any
+    bucketed step signature as a table sum.  A component is built by
+    the step builders' own op constructors and folded from
+    :func:`repro.arch.simulator.op_terms`, the per-op dispatch
+    ``simulate_workload`` uses, so every per-op term is bit-identical to
+    the op-list path.  Versus ``simulate_workload`` over the equivalent
+    op list, results differ only in float-summation *associativity*
     (components are summed per layer and scaled by ``n_layers`` instead
-    of one long sequential reduction): relative drift is ~1e-14, and MAC
-    counts stay exact integers.
+    of one long sequential reduction, and from Python 3.12 the column
+    sums are compensated): relative drift is ~1e-14, and MAC counts
+    stay exact integers.
 
     One surface serves one ``(design, config, woq/kvq bits, lm_head)``
     combination; :mod:`repro.serve.costs` shares surfaces (and the
@@ -506,7 +511,6 @@ class StepCostSurface:
     def __init__(self, design, config: ModelConfig, woq_bits: int = 4,
                  kvq_bits: int = 4, include_lm_head: bool = True,
                  tech=None):
-        from ..arch.simulator import SimulationResult
         self._result_cls = SimulationResult
         self.design = design
         self.config = config
@@ -538,33 +542,26 @@ class StepCostSurface:
     def _accumulate(self, ops) -> tuple:
         """(vector, macs) of an op sublist — the simulate_workload sums.
 
-        Vectors are plain float lists: they are 11 wide and summed a
-        few dozen at a time per step, where Python-level adds beat
-        numpy's per-array overhead.
+        Each op's addends come from :func:`repro.arch.simulator.op_terms`,
+        the per-op dispatch ``simulate_workload`` uses, so a component
+        holds the same per-op terms as the op-list path.  Components
+        hold only GEMM and nonlinear ops.  Vectors are plain float
+        lists: they are 11 wide and summed a few dozen at a time per
+        step, where Python-level adds beat numpy's per-array overhead.
         """
         vec = [0.0] * self._WIDTH
         macs = 0
         design = self.design
+        frequency_hz = self.tech.frequency_hz
         for op in ops:
-            if isinstance(op, GemmOp):
-                cost = design.gemm_cost(op)
-                macs += op.macs * op.count
-                if op.kind in ("attention_qk", "attention_pv",
-                               "attention"):
-                    kind = 1
-                elif op.kind == "ffn":
-                    kind = 2
-                else:
-                    kind = 0
-            else:
-                cost = design.nonlinear_cost(op)
-                kind = 3
-            count = op.count
-            vec[kind] += cost.cycles * count
-            vec[4 + kind] += cost.energy_pj * count
-            vec[self._E_COMM] += cost.comm_energy_pj * count
-            vec[self._HBM] += cost.hbm_bytes * count
-            vec[self._COMM_S] += cost.comm_seconds * count
+            (kind, cycles, _, energy, comm_energy, hbm, comm_seconds, _,
+             op_macs) = op_terms(design, op, frequency_hz)
+            vec[kind] += cycles
+            vec[4 + kind] += energy
+            vec[self._E_COMM] += comm_energy
+            vec[self._HBM] += hbm
+            vec[self._COMM_S] += comm_seconds
+            macs += op_macs
         return vec, macs
 
     def _component(self, table: str, key, builder) -> tuple:
@@ -678,8 +675,10 @@ class StepCostSurface:
                 parts.append(part)
                 macs += part_macs
         n_layers = self.config.n_layers
-        # C-level column sums; sum() folds left-to-right from 0.0, which
-        # adds exactly like the explicit accumulate-in-order loop.
+        # C-level column sums.  Up to Python 3.11, sum() folds left to
+        # right from 0.0 exactly like an accumulate-in-order loop; from
+        # 3.12 a float sum() is compensated, so a column can differ from
+        # that loop in the last bits.
         vec = [column_sum * n_layers
                for column_sum in map(sum, zip(*parts))]
         macs *= n_layers

@@ -207,3 +207,5 @@ class TestFactory:
             GemmOp(m=0, k=1, n=1)
         with pytest.raises(MappingError):
             NonlinearOp(op="softmax", elements=10, rows=0)
+        with pytest.raises(MappingError, match="tanh"):
+            NonlinearOp(op="tanh", elements=8)

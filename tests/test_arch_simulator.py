@@ -1,8 +1,10 @@
 """End-to-end simulator tests reproducing Table 3 / Fig. 14 / Fig. 17 shapes."""
 
+import numpy as np
 import pytest
 
 from repro.arch import (
+    GemmOp,
     NocConfig,
     make_design,
     make_noc,
@@ -203,13 +205,31 @@ class TestNocScaling:
 
 class TestSimulatorValidation:
     def test_rejects_bad_tokens(self, llama70b_ops):
-        with pytest.raises(SimulationError):
-            simulate_workload(make_design("mugi", 128), llama70b_ops,
-                              tokens_per_step=0)
+        for tokens in (0, -1, 2.5, 8.0, "8", None):
+            with pytest.raises(SimulationError):
+                simulate_workload(make_design("mugi", 128), llama70b_ops,
+                                  tokens_per_step=tokens)
+
+    def test_accepts_integer_like_tokens(self, llama70b_ops, results):
+        r = simulate_workload(make_design("mugi", 256), llama70b_ops,
+                              tokens_per_step=np.int64(8))
+        assert type(r.tokens_per_step) is int
+        assert r.throughput_tokens_s == \
+            results[("mugi", 256)].throughput_tokens_s
 
     def test_rejects_unknown_ops(self):
-        with pytest.raises(SimulationError):
-            simulate_workload(make_design("mugi", 128), ["not an op"],
+        # A str has a .count method, so the type check must come first.
+        op = GemmOp(m=1, k=1, n=1)
+        for junk in ("not an op", [op], None):
+            for ops in ([junk], [op, junk]):
+                with pytest.raises(SimulationError, match="unknown op"):
+                    simulate_workload(make_design("mugi", 128), ops,
+                                      tokens_per_step=1)
+
+    @pytest.mark.parametrize("ops", [[], iter(()), (op for op in ())])
+    def test_rejects_empty_op_list(self, ops):
+        with pytest.raises(SimulationError, match="at least one op"):
+            simulate_workload(make_design("mugi", 128), ops,
                               tokens_per_step=1)
 
     def test_breakdown_buckets_cover_total(self, llama70b_ops, results):

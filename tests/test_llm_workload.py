@@ -1,5 +1,7 @@
 """Tests for Table 1 configs and operator-graph construction."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.arch import GemmOp, NonlinearOp
@@ -47,6 +49,8 @@ class TestConfigs:
     def test_activation_per_family(self):
         assert LLAMA2_7B.activation == "silu" and LLAMA2_7B.gated_ffn
         assert WHISPER_TINY.activation == "gelu" and not WHISPER_TINY.gated_ffn
+        with pytest.raises(ConfigError, match="relu"):
+            replace(LLAMA2_7B, activation="relu")
 
     def test_registry(self):
         assert get_model("Llama2-7B") is LLAMA2_7B
