@@ -30,14 +30,17 @@ bench-baseline:
 	$(PY) benchmarks/gate.py --update-baseline
 
 # The serving headlines (paged KV 1.41x, prefix-affinity 1.73x, the
-# reactive autoscaler at 0.74x cost) and Table 3's ratios, asserted by
-# their benches.  pytest's default pattern never collects bench_*.py,
-# so the files are named explicitly.
+# reactive autoscaler at 0.74x cost), the auto_config search headline
+# (the hand-picked fleet on the searched frontier, grid == halving
+# through one memo, via the registry and 2-worker spawn pools) and
+# Table 3's ratios, asserted by their benches.  pytest's default
+# pattern never collects bench_*.py, so the files are named explicitly.
 serving-claims:
 	$(PY) -m pytest benchmarks/bench_serving_load.py \
 		benchmarks/bench_paged_serving.py \
 		benchmarks/bench_cluster_serving.py \
 		benchmarks/bench_autoscaling_serving.py \
+		benchmarks/bench_auto_config.py \
 		benchmarks/bench_table3_end_to_end.py --benchmark-disable -q
 
 # The paper's figure and ablation claims asserted by their benches:

@@ -30,22 +30,24 @@ Subpackages
 ``repro.analysis``
     Statistics, rendering, and the per-figure experiment drivers
     (registry: ``repro.analysis.experiments.get(name)``).
+
+``import repro`` loads no subpackage.  Each one is imported on first
+attribute access (``repro.serve.ServingEngine``) or by an explicit
+``import repro.serve``, so an entry point pays only for the layers it
+uses.
 """
+
+import importlib
 
 __version__ = "1.0.0"
 
-from . import (  # noqa: F401
-    analysis,
-    arch,
-    baselines,
-    carbon,
-    core,
-    llm,
-    numerics,
-    parallel,
-    search,
-    serve,
-)
-
 __all__ = ["analysis", "arch", "baselines", "carbon", "core", "llm",
            "numerics", "parallel", "search", "serve", "__version__"]
+
+_SUBPACKAGES = frozenset(__all__) - {"__version__"}
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,28 +32,16 @@ The serving experiments (and ``auto_config``) also register uniform
     report = experiments.run("cluster_serving", {"jobs": 2})
 
 and the CLI dispatcher ``python -m repro.analysis.experiments <name>``.
+
+Importing the package loads only the registry.  A driver module is
+imported when it is named (``experiments.end_to_end`` or ``from
+repro.analysis.experiments import end_to_end``), and the registry's
+first lookup imports every module in :data:`DRIVERS`, so a lookup
+always sees every registered experiment.
 """
 
-from . import (  # noqa: F401
-    accuracy_sweep,
-    auto_config,
-    autoscaling_serving,
-    batch_sweep,
-    breakdown,
-    carbon_footprint,
-    cluster_serving,
-    distributions,
-    end_to_end,
-    gemm_iso_area,
-    latency_breakdown,
-    noc_scaling,
-    nonlinear_iso_area,
-    paged_serving,
-    parallel_scaling,
-    per_layer_tuning,
-    relative_error,
-    serving_load_sweep,
-)
+import importlib
+
 from .registry import (  # noqa: F401
     Experiment,
     Report,
@@ -63,9 +51,8 @@ from .registry import (  # noqa: F401
     run,
 )
 
-__all__ = [
-    "Experiment",
-    "Report",
+#: Every driver module of the package.
+DRIVERS = (
     "accuracy_sweep",
     "auto_config",
     "autoscaling_serving",
@@ -84,8 +71,13 @@ __all__ = [
     "per_layer_tuning",
     "relative_error",
     "serving_load_sweep",
-    "get",
-    "names",
-    "register",
-    "run",
-]
+)
+
+__all__ = ["Experiment", "Report", *DRIVERS, "get", "names", "register",
+           "run"]
+
+
+def __getattr__(name: str):
+    if name in DRIVERS:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

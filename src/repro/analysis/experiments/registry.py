@@ -14,13 +14,16 @@ dict of headline numbers — so benches, demos, and the
 ``python -m repro.analysis.experiments`` dispatcher all consume one
 shape.
 
-Experiments register themselves at import time via :func:`register`;
-importing :mod:`repro.analysis.experiments` pulls in every module, so
-the registry is complete as soon as the package is.
+Experiments register themselves at import time via :func:`register`.
+The package imports a driver module only when it is named, so
+:func:`get`, :func:`names` and :func:`run` first import every module
+the package lists in ``DRIVERS``: a lookup always sees every
+registered experiment.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from dataclasses import dataclass, field
 
@@ -134,8 +137,18 @@ def register(name: str, description: str = "", defaults=None,
     return decorator
 
 
+def _import_drivers() -> None:
+    """Import every driver module the package lists, so that a lookup
+    sees every registered experiment (a no-op once they are loaded)."""
+    from . import DRIVERS
+
+    for module in DRIVERS:
+        importlib.import_module(f"{__package__}.{module}")
+
+
 def get(name: str) -> Experiment:
     """Look up a registered experiment by name."""
+    _import_drivers()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -145,6 +158,7 @@ def get(name: str) -> Experiment:
 
 def names() -> list:
     """Registered experiment names, sorted."""
+    _import_drivers()
     return sorted(_REGISTRY)
 
 

@@ -8,7 +8,6 @@ stable, vectorized numpy implementations.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 #: sqrt(2/pi), the constant in the tanh-form GELU (paper Eq. 4/5).
 _GELU_TANH_C = 0.7978845608028654
@@ -37,7 +36,13 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact GELU via the error function (paper Eq. 3)."""
+    """Exact GELU via the error function (paper Eq. 3).
+
+    scipy is imported here, not with the module: only the accuracy
+    experiments and GELU LUTs evaluate it.
+    """
+    from scipy.special import erf
+
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 

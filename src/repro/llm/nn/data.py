@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 defers it to first use)
 
 from ...errors import ConfigError
 

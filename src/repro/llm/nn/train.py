@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 defers it to first use)
 
 from .data import (
     MarkovCorpus,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
+import numpy.random  # noqa: F401  (numpy 2 defers it to first use)
 
 from ...baselines import precise
 from ...errors import ConfigError
@@ -57,6 +57,8 @@ def _silu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf
+
     cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
     pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
     return cdf + x * pdf

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 defers it to first use)
 
 from ..baselines import precise
 from ..baselines.pwl import PWLApproximator, PWLConfig

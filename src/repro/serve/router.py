@@ -28,6 +28,7 @@ the same trace, seed, and policy always produce the same assignment.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 defers it to first use)
 
 from ..errors import ConfigError
 from .trace import Request
@@ -75,9 +76,9 @@ class Router:
         Decisions are identical to calling :meth:`select` once per
         request in order, with each commit applied before the next
         select — load-aware policies see every earlier cohort member
-        exactly as the one-at-a-time path does.  Subclasses override
-        this to batch the state-independent part of their decision
-        (hash/index streams); the commit sequencing is preserved.
+        exactly as the one-at-a-time path does.  A subclass may override
+        this to batch the state-independent part of its decision (the
+        round-robin index stream); the commit sequencing is preserved.
         """
         routed = 0
         for request in requests:
@@ -196,39 +197,6 @@ class PrefixAffinityRouter(Router):
                     * max(mean, 1.0):
                 return self.fallback.select(request, replicas)
         return choice
-
-    def select_batch(self, requests, replicas: list, commit) -> int:
-        """Hash the whole cohort's prefix groups in one vectorized
-        pass; the load-dependent overload/fallback checks stay
-        sequential per commit."""
-        n = len(replicas)
-        groups = [request.prefix_group for request in requests]
-        if n == 1 or not any(g is not None for g in groups):
-            return super().select_batch(requests, replicas, commit)
-        x = np.asarray([0 if g is None else g for g in groups],
-                       dtype=np.uint32)
-        mult = np.uint32(0x45D9F3B)
-        x = ((x ^ (x >> np.uint32(16))) * mult)
-        x = ((x ^ (x >> np.uint32(16))) * mult)
-        hashed = (x ^ (x >> np.uint32(16))) % np.uint32(n)
-        factor = self.overload_factor
-        routed = 0
-        for request, group, slot in zip(requests, groups,
-                                        hashed.tolist()):
-            if group is None:
-                choice = self.fallback.select(request, replicas)
-            else:
-                choice = replicas[slot]
-                if factor is not None:
-                    loads = [r.outstanding_tokens for r in replicas]
-                    mean = sum(loads) / len(loads)
-                    if choice.outstanding_tokens > factor \
-                            * max(mean, 1.0):
-                        choice = self.fallback.select(request, replicas)
-            routed += 1
-            if not commit(request, choice):
-                break
-        return routed
 
 
 #: Router registry for string-based construction.

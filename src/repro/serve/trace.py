@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 defers it to first use)
 
 from ..errors import ConfigError
 

@@ -16,7 +16,7 @@ warm-start surface snapshot (:meth:`StepCostSurface.export_tables` /
 ``install_tables``).
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +145,25 @@ class TestFleetIdentity:
                                         **kwargs).run(trace, legacy=True)
         assert_cluster_reports_identical(fast, slow)
 
+    @pytest.mark.parametrize("fleet", (False, True))
+    def test_out_of_32_bit_prefix_groups_match_legacy(self, fleet):
+        """Prefix groups below 0 or at/above 2**32 route through the
+        batched cohorts exactly as the legacy loop's per-request
+        ``select`` routes them."""
+        wide = (-1, 2 ** 33, -(2 ** 40) + 3, 2 ** 32)
+        trace = [request if request.prefix_group is None
+                 else replace(request,
+                              prefix_group=wide[request.prefix_group])
+                 for request in _trace(n=60, seed=5)]
+        assert {r.prefix_group for r in trace} - {None} == set(wide)
+        make, extra = (make_autoscaling_cluster, {"tick_s": 5.0}) \
+            if fleet else (make_cluster, {})
+        fast, slow = (make(tiny_design(), TINY_GQA, 3, policy="paged",
+                           router="prefix-affinity", seq_len_bucket=16,
+                           max_batch=8, **extra).run(trace, legacy=legacy)
+                      for legacy in (False, True))
+        assert_cluster_reports_identical(fast, slow)
+
     def test_per_replica_diagnostics_surface(self):
         report = make_cluster(tiny_design(), TINY_GQA, 3,
                               policy="paged", seq_len_bucket=16,
@@ -175,7 +194,10 @@ def _cohort(groups):
 @given(
     router_name=st.sampled_from(
         ("round-robin", "least-outstanding", "prefix-affinity")),
-    groups=st.lists(st.one_of(st.none(), st.integers(0, 5)),
+    # Any integer is a valid group: negative and wider-than-32-bit
+    # groups hash like any other.
+    groups=st.lists(st.one_of(st.none(), st.integers(0, 5),
+                              st.integers(-2 ** 40, 2 ** 40)),
                     min_size=1, max_size=12),
     loads=st.lists(st.integers(0, 200), min_size=2, max_size=5),
     stop_after=st.one_of(st.none(), st.integers(1, 12)),

@@ -480,6 +480,8 @@ class TestExperimentRegistry:
 
     def test_double_registration_rejected(self):
         from repro.analysis.experiments import registry
+        # Drivers register on import; the lookup imports them all.
+        experiments.get("serving_load_sweep")
         with pytest.raises(ConfigError, match="registered twice"):
             registry.register("serving_load_sweep",
                               description="dup")(lambda config: None)
