@@ -42,6 +42,11 @@ def test_auto_config_smoke(benchmark, save_result):
     assert len(result.stages) >= 2
 
     save_result("auto_config", report.summary())
+    # Host wall clocks vary run to run, so they go to stdout, not into
+    # the committed artefact.
+    print(f"search[{result.strategy}] wall {result.wall_s:.2f}s ("
+          + ", ".join(f"{stage.name} {stage.wall_s:.2f}s"
+                      for stage in result.stages) + ")")
 
 
 def test_grid_matches_halving_frontier():

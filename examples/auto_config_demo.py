@@ -32,8 +32,8 @@ halved = search(space, wl, objectives=auto_config.OBJECTIVES,
 print(halved.summary())
 assert halved.frontier.labels() == result.frontier.labels()
 print(f"\nfrontiers agree; halving spent {halved.total_runs} runs "
-      f"({halved.evaluated} at full fidelity) vs grid's "
-      f"{result.total_runs}")
+      f"({halved.evaluated} at full fidelity, {halved.wall_s:.2f} s) "
+      f"vs grid's {result.total_runs} ({result.wall_s:.2f} s)")
 
 # ---------------------------------------------------------------- 4. ---
 print("\n=== 4. Searched frontier vs the hand-picked fleet ===")

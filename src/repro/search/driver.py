@@ -89,10 +89,12 @@ class SearchResult:
         return self.frontier.best(objective)
 
     def summary(self) -> str:
+        """The search as text.  Host wall clocks (``wall_s`` here and
+        on each stage) are left out, so the text is a pure function of
+        the simulated results."""
         lines = [f"search[{self.strategy}]: {self.total_runs} runs "
                  f"({self.evaluated} full-fidelity), "
-                 f"{len(self.skipped)} invalid combos skipped, "
-                 f"wall {self.wall_s:.2f}s"]
+                 f"{len(self.skipped)} invalid combos skipped"]
         lines.append(
             f"  executor: {self.memo_hits} memo hits / "
             f"{self.memo_misses} misses ({self.memo_evictions} "
@@ -102,7 +104,7 @@ class SearchResult:
             lines.append(
                 f"  {stage.name}: {stage.candidates} candidates @ "
                 f"{stage.fraction:.0%} workload -> "
-                f"{stage.survivors} survivors ({stage.wall_s:.2f}s)")
+                f"{stage.survivors} survivors")
         lines.append(self.frontier.summary())
         return "\n".join(lines)
 

@@ -39,7 +39,6 @@ from .autoscale import (
     AutoscalingCluster,
     ColdStartConfig,
     DEFAULT_COLD_START,
-    FleetReplica,
     FleetSnapshot,
     PredictiveAutoscaler,
     ReactiveAutoscaler,
@@ -133,7 +132,6 @@ __all__ = [
     "ContinuousBatchScheduler",
     "FCFSPolicy",
     "FairSharePolicy",
-    "FleetReplica",
     "FleetReport",
     "FleetSnapshot",
     "LeastOutstandingRouter",

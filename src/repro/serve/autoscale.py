@@ -31,6 +31,10 @@ energy + leakage over that on-time plus lifetime-amortized embodied
 carbon through :mod:`repro.carbon`, yielding the cost-per-goodput
 headline metric.
 
+The fleet is a :class:`repro.serve.ServingCluster` whose drive loop
+also boots replicas and ticks the scaler; a fixed cluster is the fleet
+that never does either.
+
 Everything stays deterministic: decisions happen at fixed simulated
 ticks, tie-breaks are by replica index, and replicas are spun up with
 fresh engines on the shared step-cost store — a fleet run is a pure
@@ -40,21 +44,16 @@ bit-identical under ``run_sweep`` with any ``jobs`` value.
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass
+from functools import partial, reduce
 from operator import add
 
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
-from .cluster import ServingCluster, _offered_rps
-from .engine import ServingEngine
+from .cluster import Replica, ServingCluster, build_engine
 from .metrics import FleetReport
 from .router import Router, make_router
-from .scheduler import make_scheduler
-from .trace import Request, arrival_times, offered_load_rps
 
 __all__ = [
     "AUTOSCALERS",
@@ -62,7 +61,6 @@ __all__ = [
     "AutoscalingCluster",
     "ColdStartConfig",
     "DEFAULT_COLD_START",
-    "FleetReplica",
     "FleetSnapshot",
     "PredictiveAutoscaler",
     "ReactiveAutoscaler",
@@ -92,14 +90,17 @@ class ColdStartConfig:
     woq_bits: int = 4
 
     def __post_init__(self):
-        if self.provision_s < 0:
-            raise ConfigError("provision_s must be non-negative")
-        if self.link_bandwidth_bytes <= 0:
-            raise ConfigError("link_bandwidth_bytes must be positive")
-        if self.link_latency_s < 0:
-            raise ConfigError("link_latency_s must be non-negative")
-        if self.woq_bits < 1:
-            raise ConfigError("woq_bits must be positive")
+        # Written so NaN fails too: a NaN delay would hang the fleet.
+        if not 0 <= self.provision_s < math.inf:
+            raise ConfigError("provision_s must be finite and non-negative")
+        if not 0 < self.link_bandwidth_bytes < math.inf:
+            raise ConfigError("link_bandwidth_bytes must be finite and "
+                              "positive")
+        if not 0 <= self.link_latency_s < math.inf:
+            raise ConfigError("link_latency_s must be finite and "
+                              "non-negative")
+        if not 1 <= self.woq_bits < math.inf:
+            raise ConfigError("woq_bits must be finite and positive")
 
     def delay_s(self, config: ModelConfig) -> float:
         """Provisioning-to-ready delay for one replica of ``config``."""
@@ -298,36 +299,7 @@ def make_autoscaler(autoscaler, **kwargs) -> Autoscaler:
             f"{sorted(AUTOSCALERS)}") from None
 
 
-@dataclass
-class FleetReplica:
-    """One elastic slot of the fleet plus its lifecycle bookkeeping.
-
-    ``state`` walks ``provisioning → active → draining → retired``
-    (warm initial replicas skip provisioning; scale-down may retire a
-    booting replica directly).  The router only ever sees ``active``
-    replicas; a draining replica finishes its in-flight work and
-    retires the moment its engine goes idle.
-    """
-
-    index: int
-    engine: ServingEngine
-    state: str = "provisioning"
-    #: When the scaler ordered this replica (on-time billing starts).
-    spun_up_s: float = 0.0
-    #: When it became routable (== spun_up_s for warm starts).
-    ready_s: float = 0.0
-    routed: int = 0
-    arrivals: list = field(default_factory=list)
-    #: Completion records already folded into the cluster view.
-    seen_records: int = 0
-
-    @property
-    def outstanding_tokens(self) -> int:
-        """Router-visible load (see Replica.outstanding_tokens)."""
-        return self.engine.scheduler.outstanding_tokens
-
-
-class AutoscalingCluster:
+class AutoscalingCluster(ServingCluster):
     """An elastic unified cluster: replicas spin up/down while serving.
 
     Construction mirrors :func:`repro.serve.make_cluster` (identical
@@ -336,7 +308,10 @@ class AutoscalingCluster:
     The initial fleet is the scaler's decision on an empty snapshot and
     starts **warm** at t=0 — the fleet predates the trace, so a static
     baseline pays no artificial cold starts; every later scale-up pays
-    :class:`ColdStartConfig` provisioning before taking traffic.
+    :class:`ColdStartConfig` provisioning before taking traffic.  The
+    fleet runs on :class:`ServingCluster`'s drive loop, adding replica
+    boots and scaler ticks to its events; ``run`` returns a
+    :class:`repro.serve.FleetReport`.
 
     Parameters beyond ``make_cluster``'s:
 
@@ -347,7 +322,7 @@ class AutoscalingCluster:
         Fleet ceiling handed to the autoscaler factory (the band's
         upper edge, not a fixed size).
     tick_s:
-        Decision cadence in simulated seconds.
+        Decision cadence in simulated seconds (finite, positive).
     cold_start:
         :class:`ColdStartConfig` pricing scale-up delay.
     slos:
@@ -369,13 +344,10 @@ class AutoscalingCluster:
                  name: str | None = None, **engine_kwargs):
         if n_replicas < 1:
             raise ConfigError("n_replicas must be positive")
-        if tick_s <= 0:
-            raise ConfigError("tick_s must be positive")
-        scheduler_kwargs = dict(scheduler_kwargs or {})
-        if "block_manager" in scheduler_kwargs:
+        if not 0 < tick_s < math.inf:
             raise ConfigError(
-                "pass kv_capacity_bytes, not a block_manager: a shared "
-                "pool instance would alias KV state across replicas")
+                f"tick_s must be positive and finite, got {tick_s!r}")
+        scheduler_kwargs = dict(scheduler_kwargs or {})
         if slos and policy in ("continuous", "static"):
             raise ConfigError(
                 "tenant SLO scheduling needs a paged policy; the "
@@ -384,6 +356,7 @@ class AutoscalingCluster:
             scheduler_kwargs.setdefault("slos", tuple(slos))
         self.design = design
         self.config = config
+        self.mode = "elastic"
         self.router = make_router(router)
         kwargs = dict(autoscaler_kwargs or {})
         if not isinstance(autoscaler, Autoscaler):
@@ -392,438 +365,93 @@ class AutoscalingCluster:
         self.tick_s = tick_s
         self.cold_start = cold_start
         self._cold_delay = cold_start.delay_s(config)
-        self._policy = policy
-        self._max_batch = max_batch
-        self._kv_capacity_bytes = kv_capacity_bytes
-        self._kvq_bits = kvq_bits
-        self._scheduler_kwargs = scheduler_kwargs
-        self._seq_len_bucket = seq_len_bucket
-        self._engine_kwargs = engine_kwargs
+        self._new_engine = partial(
+            build_engine, design, config, policy, max_batch,
+            kv_capacity_bytes, kvq_bits, scheduler_kwargs, seq_len_bucket,
+            **engine_kwargs)
         design_name = getattr(design, "name", type(design).__name__)
         self.name = name if name is not None else \
             f"elastic {design_name} x<= {self.autoscaler.max_replicas}"
         # Per-replica silicon parameters for the cost model: one probe
         # step on the shared surface (any signature carries the
         # design's area and leakage).
-        probe_engine = self._new_engine()
-        probe = probe_engine._surface.price_step((), (1,), ())
+        probe = self._new_engine()._surface.price_step((), (1,), ())
         self.leakage_w = probe.leakage_w
         self.area_mm2 = probe.area_mm2
-        self.fleet: list[FleetReplica] = []
+        self.replicas: list[Replica] = []
 
-    # -- replica lifecycle ----------------------------------------------
-    def _new_engine(self) -> ServingEngine:
-        scheduler = make_scheduler(
-            self._policy, self.config, max_batch=self._max_batch,
-            kv_capacity_bytes=self._kv_capacity_bytes,
-            kvq_bits=self._kvq_bits, **self._scheduler_kwargs)
-        return ServingEngine(self.design, self.config, scheduler,
-                             kvq_bits=self._kvq_bits,
-                             seq_len_bucket=self._seq_len_bucket,
-                             **self._engine_kwargs)
+    def _start(self) -> None:
+        """Spin up the initial fleet: the scaler's decision on the empty
+        fleet at t=0."""
+        self.replicas = []
+        self.autoscaler.reset()
+        self._routed_at_tick = 0
+        self._decide(0.0)
 
-    def _routable(self) -> list:
-        return [rep for rep in self.fleet if rep.state == "active"]
-
-    def _note_scale(self, t: float) -> None:
-        n = len(self._routable())
-        if not self._scale_events or self._scale_events[-1][1] != n:
-            self._scale_events.append((t, n))
-
-    def _boot_changed(self) -> None:
-        self._ready_t = min((rep.ready_s for rep in self._booting),
-                            default=math.inf)
-
-    def _spin_up(self, t: float, warm: bool = False) -> FleetReplica:
-        rep = FleetReplica(index=len(self.fleet),
-                           engine=self._new_engine(), spun_up_s=t,
-                           ready_s=t if warm else t + self._cold_delay)
-        self.fleet.append(rep)
+    def _spin_up(self, t: float) -> None:
+        """Order one replica at ``t``.  Replicas ordered at t=0 start
+        warm — the fleet predates the trace, so a static baseline pays
+        no artificial cold starts; later ones boot first."""
+        warm = t == 0.0
+        rep = Replica(index=len(self.replicas), engine=self._new_engine(),
+                      spun_up_s=t,
+                      ready_s=t if warm else t + self._cold_delay)
+        self.replicas.append(rep)
         if warm:
             self._activate(rep, t)
         else:
             self._cold_starts += 1
             self._booting.append(rep)
-            self._boot_changed()
-        return rep
 
-    def _activate(self, rep: FleetReplica, t: float) -> None:
-        if rep.spun_up_s < rep.ready_s:
-            self._cold_start_seconds += rep.ready_s - rep.spun_up_s
-        if rep in self._booting:
-            self._booting.remove(rep)
-            self._boot_changed()
-        rep.engine.start()
-        rep.engine.advance_to(t)
-        rep.state = "active"
-        self._active_outstanding += rep.outstanding_tokens
-        self._note_scale(t)
-
-    def _retire(self, rep: FleetReplica, t: float) -> None:
-        """Close an active/draining replica's session at time ``t``."""
-        rep.engine.report.offered_rps = _offered_rps(rep.arrivals)
-        self._reports.append(rep.engine.finish())
-        self._routed_counts.append(rep.routed)
-        rep.state = "retired"
-        self._replica_deltas.append(t - rep.spun_up_s)
-        self._makespan = max(self._makespan, t)
-        self._note_scale(t)
-
-    def _cancel(self, rep: FleetReplica, t: float) -> None:
-        """Abort a still-booting replica (its engine never started)."""
-        rep.state = "retired"
-        if rep in self._booting:
-            self._booting.remove(rep)
-            self._boot_changed()
-        self._replica_deltas.append(t - rep.spun_up_s)
-        self._cold_start_seconds += t - rep.spun_up_s
-
-    # -- scaling decisions ----------------------------------------------
-    def _decide(self, t: float,
-                outstanding_tokens: int | None = None) -> None:
-        """One autoscaler consultation at tick ``t``.
-
-        ``outstanding_tokens`` is the fleet-maintained incremental
-        counter when the compressed loop drives the run; the legacy
-        loop leaves it ``None`` and the sum is rescanned (the identity
-        tests check the two agree by way of identical decisions).
-        """
-        active = self._routable()
-        booting = [rep for rep in self.fleet
-                   if rep.state == "provisioning"]
-        if outstanding_tokens is None:
-            outstanding_tokens = sum(rep.outstanding_tokens
-                                     for rep in active)
+    def _decide(self, t: float) -> None:
+        """One autoscaler consultation at tick ``t`` (ticks run at
+        multiples of ``tick_s``; t=0 sizes the initial fleet)."""
+        live = [rep for rep in self.replicas
+                if rep.state in ("active", "draining")]
+        active = [rep for rep in live if rep.state == "active"]
+        # Retired replicas finished everything routed to them.
+        routed = sum(rep.routed for rep in self.replicas)
         snapshot = FleetSnapshot(
             now_s=t, tick_s=self.tick_s, active=len(active),
-            provisioning=len(booting),
-            outstanding_tokens=outstanding_tokens,
-            inflight_requests=self._routed_total - self._completed_total,
-            arrival_rate_rps=self._window_arrivals / self.tick_s)
-        self._window_arrivals = 0
-        scaler = self.autoscaler
-        want = max(scaler.min_replicas,
-                   min(scaler.max_replicas,
-                       int(scaler.desired(snapshot))))
-        current = len(active) + len(booting)
-        if want > current:
-            for _ in range(want - current):
-                self._spin_up(t)
-        elif want < current:
-            excess = current - want
-            # Cancel the newest boots first — least sunk cost, and it
-            # can never strand routed work (booting replicas hold none).
-            for rep in sorted(booting,
-                              key=lambda r: (-r.ready_s, -r.index)):
-                if excess == 0:
-                    break
-                self._cancel(rep, t)
-                excess -= 1
-            # Then drain the least-loaded active replicas; ``want >=
-            # min_replicas >= 1`` keeps at least one routable replica.
-            victims = sorted(
-                (rep for rep in active),
-                key=lambda r: (r.outstanding_tokens, r.index))[:excess]
+            provisioning=len(self._booting),
+            outstanding_tokens=sum(rep.outstanding_tokens
+                                   for rep in active),
+            inflight_requests=sum(
+                rep.routed - len(rep.engine.report.records)
+                for rep in live),
+            arrival_rate_rps=(routed - self._routed_at_tick) / self.tick_s)
+        self._routed_at_tick = routed
+        want = self.autoscaler._clamp(self.autoscaler.desired(snapshot))
+        current = len(active) + len(self._booting)
+        for _ in range(want - current):
+            self._spin_up(t)
+        excess = current - want
+        # Cancel the newest boots first — least sunk cost, and it can
+        # never strand routed work (booting replicas hold none).
+        while excess > 0 and self._booting:
+            self._retire(self._booting[-1], t)
+            excess -= 1
+        # Then drain the least-loaded active replicas; ``want >=
+        # min_replicas >= 1`` keeps at least one routable replica.
+        if excess > 0:
+            victims = sorted(active, key=lambda r: (r.outstanding_tokens,
+                                                    r.index))[:excess]
             for rep in victims:
                 rep.state = "draining"
-                self._active_outstanding -= rep.outstanding_tokens
-                self._note_scale(t)
+                self._roster_changed(t)
                 if not rep.engine.has_work():
                     self._retire(rep, t)
 
-    # -- the fleet event loop --------------------------------------------
-    def _drive_legacy(self, pending: list) -> None:
-        """The pre-heap reference loop: per-iteration fleet rescans.
-
-        Kept verbatim as the ground truth the compressed loop's
-        identity tests diff against."""
-        inf = math.inf
-        idx = 0
-        n_pending = len(pending)
-        next_tick = self.tick_s
-        while True:
-            live = [rep for rep in self.fleet
-                    if rep.state in ("active", "draining")]
-            booting = [rep for rep in self.fleet
-                       if rep.state == "provisioning"]
-            any_work = any(rep.engine.has_work() for rep in live)
-            arrival_t = pending[idx].arrival_s if idx < n_pending \
-                else inf
-            ready_t = min((rep.ready_s for rep in booting), default=inf)
-            # Ticks stop once nothing can ever arrive or run again —
-            # the loop must not scale an empty fleet forever.
-            tick_t = next_tick if (idx < n_pending or any_work
-                                   or booting) else inf
-            next_event = min(arrival_t, ready_t, tick_t)
-            worker = None
-            worker_now = inf
-            for rep in live:
-                if rep.engine.has_work() and rep.engine.now < worker_now:
-                    worker = rep
-                    worker_now = rep.engine.now
-            if worker is not None and worker_now < next_event:
-                # All future submissions to this engine happen at
-                # events >= next_event, so leaping up to it is causal.
-                if worker.engine.step(horizon=next_event):
-                    records = worker.engine.report.records
-                    fresh = records[worker.seen_records:]
-                    worker.seen_records = len(records)
-                    self._completed_total += len(fresh)
-                    if worker.state == "draining" and \
-                            not worker.engine.has_work():
-                        self._retire(worker, worker.engine.now)
-                elif next_event == inf:
-                    raise ConfigError(
-                        f"replica {worker.index} "
-                        f"({worker.engine.scheduler.name}) stalled with "
-                        f"work queued but nothing planned")
-                else:
-                    worker.engine.advance_to(next_event)
-                continue
-            if next_event == inf:
-                break
-            if ready_t <= arrival_t and ready_t <= tick_t:
-                for rep in booting:
-                    if rep.ready_s <= ready_t:
-                        self._activate(rep, ready_t)
-                continue
-            if arrival_t <= tick_t:
-                request = pending[idx]
-                idx += 1
-                if request.kv_ready:
-                    raise ConfigError(
-                        f"request {request.req_id} sets kv_ready; that "
-                        f"flag is cluster-internal")
-                # Re-instantiated per replica, like ServingCluster.
-                sub = replace(request)
-                rep = self.router.select(sub, self._routable())
-                rep.engine.advance_to(request.arrival_s)
-                rep.engine.submit(sub)
-                rep.routed += 1
-                rep.arrivals.append(request.arrival_s)
-                self._routed_total += 1
-                self._window_arrivals += 1
-                continue
-            self._decide(tick_t)
-            next_tick = tick_t + self.tick_s
-
-    def _drive_fleet(self, pending: list, times: list) -> None:
-        """Compressed fleet loop: heap clock + cohorts + O(1) counters.
-
-        Replaces the legacy loop's four per-iteration fleet scans
-        (live list, booting list, any-work probe, earliest-busy
-        worker) with a lazily-invalidated ``(clock, index)`` min-heap
-        and incrementally maintained ``_busy_count`` / ``_ready_t`` /
-        ``_active_outstanding`` counters, and routes each arrival
-        cohort (every arrival below the earliest busy clock, next
-        boot, and next tick) through one batched
-        :meth:`Router.select_batch` dispatch.  Event order — and so
-        every report field — is identical to the legacy loop.
-        """
-        inf = math.inf
-        heap: list = []   # (engine clock, fleet index), lazily stale.
-        idx = 0
-        n_pending = len(pending)
-        next_tick = self.tick_s
-        while True:
-            arrival_t = times[idx] if idx < n_pending else inf
-            ready_t = self._ready_t
-            # Ticks stop once nothing can ever arrive or run again —
-            # the loop must not scale an empty fleet forever.
-            tick_t = next_tick if (idx < n_pending or self._busy_count
-                                   or self._booting) else inf
-            next_event = min(arrival_t, ready_t, tick_t)
-            worker = None
-            worker_now = inf
-            while heap:
-                clock, i = heap[0]
-                rep = self.fleet[i]
-                if rep.engine.now != clock or \
-                        not rep.engine.has_work():
-                    heapq.heappop(heap)  # Stale entry.
-                    continue
-                worker = rep
-                worker_now = clock
-                break
-            if worker is not None and worker_now < next_event:
-                # All future submissions to this engine happen at
-                # events >= next_event, so leaping up to it is causal.
-                heapq.heappop(heap)
-                engine = worker.engine
-                active = worker.state == "active"
-                before = worker.outstanding_tokens if active else 0
-                if engine.step(horizon=next_event):
-                    if active:
-                        self._active_outstanding += \
-                            worker.outstanding_tokens - before
-                    n_records = len(engine.report.records)
-                    self._completed_total += \
-                        n_records - worker.seen_records
-                    worker.seen_records = n_records
-                    if engine.has_work():
-                        heapq.heappush(heap, (engine.now, worker.index))
-                    else:
-                        self._busy_count -= 1
-                        if worker.state == "draining":
-                            self._retire(worker, engine.now)
-                elif next_event == inf:
-                    raise ConfigError(
-                        f"replica {worker.index} "
-                        f"({engine.scheduler.name}) stalled with "
-                        f"work queued but nothing planned")
-                else:
-                    engine.advance_to(next_event)
-                    heapq.heappush(heap, (engine.now, worker.index))
-                continue
-            if next_event == inf:
-                break
-            if ready_t <= arrival_t and ready_t <= tick_t:
-                for rep in list(self._booting):
-                    if rep.ready_s <= ready_t:
-                        self._activate(rep, ready_t)
-                continue
-            if arrival_t <= tick_t:
-                # Arrival cohort: every arrival strictly before the
-                # next boot and no later than the earliest busy clock
-                # and the next tick routes back-to-back — nothing else
-                # can happen between them.  Routing can wake an idle
-                # replica whose clock then bounds the cohort (the
-                # commit callback shrinks it).
-                targets = self._routable()
-                bound = worker_now if worker_now < tick_t else tick_t
-                upto = min(bisect_right(times, bound, idx),
-                           bisect_left(times, ready_t, idx))
-
-                def commit(request: Request, rep: FleetReplica) -> bool:
-                    nonlocal idx, bound
-                    if request.kv_ready:
-                        raise ConfigError(
-                            f"request {request.req_id} sets kv_ready; "
-                            f"that flag is cluster-internal")
-                    # Re-instantiated per replica, like ServingCluster.
-                    sub = replace(request)
-                    engine = rep.engine
-                    had_work = engine.has_work()
-                    before = rep.outstanding_tokens
-                    arrival = times[idx]
-                    engine.advance_to(arrival)
-                    engine.submit(sub)
-                    self._active_outstanding += \
-                        rep.outstanding_tokens - before
-                    rep.routed += 1
-                    rep.arrivals.append(arrival)
-                    self._routed_total += 1
-                    self._window_arrivals += 1
-                    if not had_work:
-                        self._busy_count += 1
-                        heapq.heappush(heap, (engine.now, rep.index))
-                    idx += 1
-                    now = engine.now
-                    if now < bound:
-                        bound = now
-                    return idx < upto and times[idx] <= bound
-
-                self.router.select_batch(pending[idx:upto], targets,
-                                         commit)
-                continue
-            self._decide(tick_t, self._active_outstanding)
-            next_tick = tick_t + self.tick_s
-
-    def run(self, trace: list[Request],
-            legacy: bool = False) -> FleetReport:
-        """Serve a trace on the elastic fleet; merge into one report.
-
-        ``legacy=True`` drives the pre-heap reference event loop; the
-        report is field-for-field identical either way (the identity
-        test suite enforces it), only wall-clock differs.
-        """
-        if not trace:
-            raise ConfigError("empty trace")
-        pending = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
-        times = arrival_times(pending)
-        ids = {r.req_id for r in pending}
-        if len(ids) != len(pending):
-            raise ConfigError("trace has duplicate req_ids; cluster "
-                              "completion merging needs unique ids")
-        self.router.reset()
-        self.autoscaler.reset()
-        self.fleet = []
-        self._reports: list = []
-        self._routed_counts: list = []
-        self._scale_events: list = []
-        self._cold_starts = 0
-        self._cold_start_seconds = 0.0
-        #: Per-retirement on-time spans, folded at teardown.
-        self._replica_deltas: list = []
-        self._makespan = 0.0
-        self._window_arrivals = 0
-        self._routed_total = 0
-        self._completed_total = 0
-        self._booting: list = []
-        self._ready_t = math.inf
-        self._busy_count = 0
-        self._active_outstanding = 0
-
-        # Initial ramp: the scaler's decision on an empty fleet, warm
-        # at t=0 (the fleet predates the trace; only mid-run growth
-        # pays cold starts).
-        initial = FleetSnapshot(now_s=0.0, tick_s=self.tick_s, active=0,
-                                provisioning=0, outstanding_tokens=0,
-                                inflight_requests=0,
-                                arrival_rate_rps=0.0)
-        n0 = max(self.autoscaler.min_replicas,
-                 min(self.autoscaler.max_replicas,
-                     int(self.autoscaler.desired(initial))))
-        for _ in range(n0):
-            self._spin_up(0.0, warm=True)
-        error = self.fleet[0].engine.scheduler.trace_error(pending)
-        if error:
-            raise ConfigError(f"unservable trace: {error}")
-
-        if legacy:
-            self._drive_legacy(pending)
-        else:
-            self._drive_fleet(pending, times)
-
-        if self._completed_total != len(pending):
-            raise ConfigError(
-                f"fleet completed {self._completed_total} of "
-                f"{len(pending)} requests; completion merging lost "
-                f"records")
-        end_t = self._makespan
-        for rep in self.fleet:
-            if rep.state in ("active", "draining"):
-                end_t = max(end_t, rep.engine.now)
-        for rep in self.fleet:
-            if rep.state in ("active", "draining"):
-                self._retire(rep, end_t)
-            elif rep.state == "provisioning":
-                self._cancel(rep, end_t)
+    def _report(self, **fields) -> FleetReport:
         # Replica on-time: a left fold in retirement order, bit-equal
         # to the retired-order += chain (every fleet retires at least
         # its initial replica, so the series is never empty).
-        replica_seconds = reduce(add, self._replica_deltas)
-        # Each retired replica's records are already in finish order;
-        # the fleet-wide (finish_s, req_id) order is a k-way merge of
-        # the per-replica streams (sorted first so simultaneous
-        # finishers of one step fall into req_id order; Timsort on the
-        # nearly-sorted stream is cheap).  req_ids are unique, so this
-        # equals the old global ``merged.sort(...)``.
-        key = ServingCluster._record_key
-        merged = list(heapq.merge(
-            *(sorted(report.records, key=key)
-              for report in self._reports), key=key))
         return FleetReport(
-            design=self.name, router=self.router.name, mode="elastic",
-            replicas=self._reports, records=merged,
-            makespan_s=self._makespan,
-            offered_rps=offered_load_rps(trace),
-            routed=self._routed_counts,
-            autoscaler=self.autoscaler.name,
+            **fields, autoscaler=self.autoscaler.name,
             scale_events=self._scale_events,
             cold_starts=self._cold_starts,
             cold_start_seconds=self._cold_start_seconds,
-            replica_seconds=replica_seconds,
+            replica_seconds=reduce(add, self._replica_deltas),
             leakage_w=self.leakage_w, area_mm2=self.area_mm2)
 
 

@@ -1,15 +1,15 @@
-"""Cluster-scale serving: replicated engines behind a request router.
+"""Cluster-scale serving: replicated engines behind a router, one clock.
 
-:class:`ServingCluster` runs N independent engine replicas — each its
-own :class:`repro.serve.ServingEngine` over its own scheduler and (for
-the paged policies) its own :class:`repro.serve.BlockManager` pool —
+:class:`ServingCluster` runs N engine replicas — each its own
+:class:`repro.serve.ServingEngine` over its own scheduler and (for the
+paged policies) its own :class:`repro.serve.BlockManager` pool —
 against one arrival stream.  A :class:`repro.serve.router.Router`
 assigns every request to a replica at its arrival instant; the cluster
-then interleaves the replicas' steps in global time order through the
+interleaves the replicas' steps in global time order through the
 engine's external-clock API (:meth:`~repro.serve.ServingEngine.start` /
 ``submit`` / ``step`` / ``advance_to`` / ``finish``).
 
-Two deployment modes:
+Two deployment modes, set by the replicas' roles:
 
 * **unified** — every replica serves requests end to end (prefill and
   decode), the iso-silicon baseline for router comparisons;
@@ -23,13 +23,20 @@ Two deployment modes:
   replica admits the request with :attr:`Request.kv_ready` — full
   footprint reserved, no prefill compute.
 
-Event-loop causality: a replica's step is committed once every arrival
-up to the step's start has been routed, so router decisions at time
-``t`` see each replica at its last step boundary — a lead/lag of less
-than one step, the same bounded staleness a real async router works
-under.  All tie-breaks are by replica index and any router randomness
-is seeded, so cluster runs are deterministic functions of
-``(trace, routers, replica construction)``.
+:class:`repro.serve.AutoscalingCluster` is the same cluster with a
+replica set that grows and shrinks; a fixed cluster is the fleet that
+never boots a replica or ticks its scaler.  One heap-clock loop
+(:meth:`ServingCluster._drive`) serves all three: between arrival
+cohorts, KV migrations, replica boots and scaler ticks it steps the
+earliest busy replica, passing the next event as the leap horizon.
+
+Event-loop causality: a replica's step is committed once every event up
+to the step's start has happened, so router decisions at time ``t`` see
+each replica at its last step boundary — a lead/lag of less than one
+step, the same bounded staleness a real async router works under.  All
+tie-breaks are by replica index and any router randomness is seeded,
+so cluster runs are deterministic functions of ``(trace, routers,
+replica construction)``.
 
 Requests are re-instantiated per replica (`dataclasses.replace`), so
 replicas fed from the same trace can never alias per-request state.
@@ -39,8 +46,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 
 from ..errors import ConfigError
 from ..parallel.collective import DEFAULT_INTERCONNECT, InterconnectConfig
@@ -52,16 +61,37 @@ from .trace import Request, arrival_times, offered_load_rps
 
 __all__ = ["Replica", "ServingCluster", "make_cluster"]
 
+#: Merged record order: by finish time, then request id (ids are
+#: unique, so the order is total).
+_record_key = attrgetter("finish_s", "request.req_id")
 
-@dataclass
+
+@dataclass(eq=False)
 class Replica:
-    """One engine of the cluster plus its routing-time view."""
+    """One engine of a cluster or fleet plus its routing-time view.
+
+    ``role`` is ``unified``, ``prefill`` or ``decode`` (disaggregated
+    mode).  ``state`` walks ``provisioning → active → draining →
+    retired``: a fixed cluster's replicas are active from t=0 until
+    teardown, an elastic fleet's later replicas boot first, and
+    scale-down drains them (or retires a still-booting one directly).
+    Routers only ever see ``active`` replicas; a draining replica
+    finishes its in-flight work and retires the moment its engine goes
+    idle.
+    """
 
     index: int
     engine: ServingEngine
-    role: str = "unified"  # "unified" | "prefill" | "decode"
+    role: str = "unified"
+    state: str = "provisioning"
+    #: When the replica was ordered (on-time billing starts).
+    spun_up_s: float = 0.0
+    #: When it became routable (== spun_up_s for warm starts).
+    ready_s: float = 0.0
     routed: int = 0
     arrivals: list = field(default_factory=list)
+    #: Completion records already folded into the cluster view.
+    seen: int = 0
 
     @property
     def outstanding_tokens(self) -> int:
@@ -106,6 +136,26 @@ def _offered_rps(arrivals: list) -> float:
     return (len(arrivals) - 1) / span
 
 
+def build_engine(design, config, policy: str, max_batch: int,
+                 kv_capacity_bytes: float | None, kvq_bits: int,
+                 scheduler_kwargs: dict, seq_len_bucket: int,
+                 **engine_kwargs) -> ServingEngine:
+    """One fresh replica engine over its own scheduler and KV pool.
+
+    The one replica factory of :func:`make_cluster` and
+    :class:`repro.serve.AutoscalingCluster`.
+    """
+    if "block_manager" in scheduler_kwargs:
+        raise ConfigError(
+            "pass kv_capacity_bytes, not a block_manager: a shared pool "
+            "instance would alias KV state across replicas")
+    scheduler = make_scheduler(policy, config, max_batch=max_batch,
+                               kv_capacity_bytes=kv_capacity_bytes,
+                               kvq_bits=kvq_bits, **scheduler_kwargs)
+    return ServingEngine(design, config, scheduler, kvq_bits=kvq_bits,
+                         seq_len_bucket=seq_len_bucket, **engine_kwargs)
+
+
 class ServingCluster:
     """N engine replicas behind a router, on one global clock.
 
@@ -131,6 +181,10 @@ class ServingCluster:
         Link the migrated KV crosses; one hop of the context's KV bytes
         is charged per migration.
     """
+
+    #: Scaler decision cadence in simulated seconds: a fixed cluster
+    #: never ticks, so it never calls :meth:`_decide`.
+    tick_s = math.inf
 
     def __init__(self, engines: list, router: Router | str = "round-robin",
                  mode: str = "unified", prefill_replicas: int | None = None,
@@ -185,20 +239,68 @@ class ServingCluster:
         self.name = name if name is not None else \
             f"{n}x {designs.pop() if len(designs) == 1 else 'mixed'}"
 
-    # -- views -----------------------------------------------------------
     @property
     def n_replicas(self) -> int:
         return len(self.replicas)
 
-    def _arrival_targets(self) -> list:
-        if self.mode == "unified":
-            return self.replicas
-        return [r for r in self.replicas if r.role == "prefill"]
+    # -- run: validate and open, drive, tear down -------------------------
+    def run(self, trace: list[Request]) -> ClusterReport:
+        """Serve a trace across the replicas; merge into one report."""
+        pending, times = self._begin(trace)
+        self._drive(pending, times)
+        return self._finish(trace, pending)
 
-    def _decode_targets(self) -> list:
-        return [r for r in self.replicas if r.role == "decode"]
+    def _begin(self, trace: list[Request]) -> tuple:
+        """Reset the run state, open the replicas, validate the whole
+        trace before any step; return the sorted trace and its arrival
+        times."""
+        if not trace:
+            raise ConfigError("empty trace")
+        pending = sorted(trace, key=attrgetter("arrival_s", "req_id"))
+        times = arrival_times(pending)
+        if len({r.req_id for r in pending}) != len(pending):
+            raise ConfigError("trace has duplicate req_ids; cluster "
+                              "completion merging needs unique ids")
+        flagged = next((r for r in pending if r.kv_ready), None)
+        if flagged is not None:
+            raise ConfigError(
+                f"request {flagged.req_id} sets kv_ready; that flag is "
+                f"cluster-internal (set on KV migration)")
+        self.router.reset()
+        if self.mode == "disaggregated":
+            self.decode_router.reset()
+        #: Replica clock heap of (engine clock, index), lazily stale.
+        self._clock: list = []
+        #: Migration heap of (arrival_s, req_id, Request).
+        self._migrations: list = []
+        self._origins: dict[int, Request] = {}
+        #: req_id -> (origin, prefill-half record), decode in flight.
+        self._prefill_half: dict[int, tuple] = {}
+        self._finals: list = []
+        self._n_migrations = 0
+        self._transfer_bytes = 0.0
+        self._transfer_seconds = 0.0
+        #: Booting replicas in ready order (one cold-start delay, boots
+        #: ordered at ascending ticks).
+        self._booting: list = []
+        self._reports: list = []
+        self._routed_counts: list = []
+        self._scale_events: list = []
+        self._cold_starts = 0
+        self._cold_start_seconds = 0.0
+        #: Per-retirement on-time spans, folded at teardown.
+        self._replica_deltas: list = []
+        self._makespan = 0.0
+        self._start()
+        self._validate(pending)
+        return pending, times
 
-    # -- validation ------------------------------------------------------
+    def _start(self) -> None:
+        """Open every replica's session, active at t=0."""
+        for rep in self.replicas:
+            rep.routed, rep.arrivals, rep.seen = 0, [], 0
+            self._activate(rep, 0.0)
+
     @staticmethod
     def _distinct_schedulers(replicas: list) -> list:
         """One scheduler per admission-equivalent class.
@@ -206,7 +308,7 @@ class ServingCluster:
         ``admission_error`` is a pure function of the scheduler's
         construction parameters (model, capacity, quantization, block
         geometry), so identical replicas — the common case — need only
-        one probe per request instead of N.
+        one probe instead of N.
         """
         probes: dict = {}
         for rep in replicas:
@@ -220,33 +322,190 @@ class ServingCluster:
         return list(probes.values())
 
     def _validate(self, pending: list) -> None:
-        """Whole-trace admission check before simulating anything."""
-        ids = {r.req_id for r in pending}
-        if len(ids) != len(pending):
-            raise ConfigError("trace has duplicate req_ids; cluster "
-                              "completion merging needs unique ids")
-        arrival_probes = self._distinct_schedulers(
-            self._arrival_targets())
-        decode_probes = self._distinct_schedulers(self._decode_targets())
-        for request in pending:
-            if request.kv_ready:
-                raise ConfigError(
-                    f"request {request.req_id} sets kv_ready; that flag "
-                    f"is cluster-internal (set on KV migration)")
-            probe = request if self.mode == "unified" \
-                else replace(request, output_len=1)
-            for scheduler in arrival_probes:
-                error = scheduler.admission_error(probe)
+        """Whole-trace admission check: every distinct scheduler of the
+        routable replicas checks the half of each request it serves."""
+        arrivals, decodes = pending, []
+        if self.mode == "disaggregated":
+            arrivals = [replace(r, output_len=1) for r in pending]
+            decodes = [self._decode_request(r, arrival_s=0.0)
+                       for r in pending if r.output_len > 1]
+        for requests, replicas in ((arrivals, self._targets),
+                                   (decodes, self._decode_targets)):
+            for scheduler in self._distinct_schedulers(replicas):
+                error = scheduler.trace_error(requests)
                 if error:
                     raise ConfigError(f"unservable trace: {error}")
-            if self.mode == "disaggregated" and request.output_len > 1:
-                probe = self._decode_request(request, arrival_s=0.0)
-                for scheduler in decode_probes:
-                    error = scheduler.admission_error(probe)
-                    if error:
-                        raise ConfigError(f"unservable trace: {error}")
 
-    # -- disaggregation --------------------------------------------------
+    def _finish(self, trace: list, pending: list) -> ClusterReport:
+        """Retire every replica at the last clock and merge the
+        per-replica records into one report."""
+        if self._prefill_half:
+            raise ConfigError(f"{len(self._prefill_half)} migrated "
+                              f"requests never completed decode; "
+                              f"cluster bookkeeping is broken")
+        end_t = max([self._makespan] + [
+            rep.engine.now for rep in self.replicas
+            if rep.state in ("active", "draining")])
+        for rep in self.replicas:
+            if rep.state != "retired":
+                self._retire(rep, end_t)
+        streams = [self._finals] if self.mode == "disaggregated" else \
+            [report.records for report in self._reports]
+        records = sorted(chain.from_iterable(streams), key=_record_key)
+        if len(records) != len(pending):
+            raise ConfigError(
+                f"cluster completed {len(records)} of {len(pending)} "
+                f"requests; completion merging lost records")
+        return self._report(
+            design=self.name, router=self.router.name, mode=self.mode,
+            replicas=self._reports, records=records,
+            makespan_s=self._makespan,
+            offered_rps=offered_load_rps(trace),
+            routed=self._routed_counts, migrations=self._n_migrations,
+            kv_transfer_bytes=self._transfer_bytes,
+            kv_transfer_seconds=self._transfer_seconds)
+
+    def _report(self, **fields) -> ClusterReport:
+        return ClusterReport(**fields)
+
+    # -- replica lifecycle ----------------------------------------------
+    def _roster_changed(self, t: float) -> None:
+        """Rebuild the routable sets after a lifecycle change at ``t``
+        and log the routable count when it moved."""
+        active = [rep for rep in self.replicas if rep.state == "active"]
+        self._targets = [rep for rep in active if rep.role != "decode"]
+        self._decode_targets = [rep for rep in active
+                                if rep.role == "decode"]
+        if not self._scale_events or self._scale_events[-1][1] != \
+                len(active):
+            self._scale_events.append((t, len(active)))
+
+    def _activate(self, rep: Replica, t: float) -> None:
+        if rep.spun_up_s < rep.ready_s:
+            self._cold_start_seconds += rep.ready_s - rep.spun_up_s
+        rep.engine.start()
+        rep.engine.advance_to(t)
+        rep.state = "active"
+        self._roster_changed(t)
+
+    def _boot(self, t: float) -> None:
+        """Activate every booting replica whose cold start ends by t."""
+        while self._booting and self._booting[0].ready_s <= t:
+            self._activate(self._booting.pop(0), t)
+
+    def _retire(self, rep: Replica, t: float) -> None:
+        """Close a replica at ``t``: finish its session, or cancel its
+        boot if it is still provisioning (its engine never started)."""
+        if rep.state == "provisioning":
+            self._booting.remove(rep)
+            self._cold_start_seconds += t - rep.spun_up_s
+        else:
+            rep.engine.report.offered_rps = _offered_rps(rep.arrivals)
+            self._reports.append(rep.engine.finish())
+            self._routed_counts.append(rep.routed)
+            self._makespan = max(self._makespan, t)
+        rep.state = "retired"
+        self._replica_deltas.append(t - rep.spun_up_s)
+        self._roster_changed(t)
+
+    # -- event handlers --------------------------------------------------
+    def _admit(self, request: Request) -> Request:
+        """The request a replica takes for one trace arrival: a fresh
+        copy, or in disaggregated mode its one-token prefill half (the
+        origin is kept for the decode half)."""
+        if self.mode != "disaggregated":
+            return replace(request)
+        self._origins[request.req_id] = request
+        return replace(request, output_len=1)
+
+    def _route(self, rep: Replica, request: Request, now: float) -> None:
+        """Commit one routing decision (the router already chose)."""
+        engine = rep.engine
+        idle = not engine.has_work()
+        engine.advance_to(now)
+        engine.submit(request)
+        rep.routed += 1
+        rep.arrivals.append(now)
+        if idle:
+            heapq.heappush(self._clock, (engine.now, rep.index))
+
+    def _advance(self, rep: Replica, next_event: float) -> None:
+        """Commit the earliest busy replica's next step — a leap may run
+        up to ``next_event`` — or idle it there if it plans nothing.
+
+        Every event up to the step's start has happened, so the step is
+        causally committed, and every leapt step starts strictly before
+        the horizon, so the same holds inside the leap.
+
+        A decode replica also receives KV migrations that do not exist
+        yet: a prefill completion at time ``f`` enqueues a migration
+        arriving strictly after ``f``, and ``f`` can be no earlier than
+        that replica's current clock — so the earliest busy prefill
+        clock bounds its leap too.
+        """
+        engine = rep.engine
+        horizon = next_event
+        if rep.role == "decode":
+            horizon = min([next_event] + [
+                other.engine.now for other in self.replicas
+                if other.role == "prefill" and other.engine.has_work()])
+        if engine.step(horizon=horizon):
+            if rep.role != "unified":
+                self._drain(rep)
+            if rep.state == "draining" and not engine.has_work():
+                self._retire(rep, engine.now)
+        elif next_event == math.inf:
+            raise ConfigError(
+                f"replica {rep.index} ({engine.scheduler.name}) stalled "
+                f"with work queued but nothing planned")
+        else:
+            engine.advance_to(next_event)
+        if engine.has_work():
+            heapq.heappush(self._clock, (engine.now, rep.index))
+
+    def _drain(self, rep: Replica) -> None:
+        """Fold a disaggregated replica's new completions into the
+        cluster view: a prefill completion spawns its KV migration, a
+        decode completion joins its prefill half into the final record.
+        (Unified records are collected wholesale at teardown.)"""
+        records = rep.engine.report.records
+        fresh = records[rep.seen:]
+        rep.seen = len(records)
+        for record in fresh:
+            # Entries live from routing until the prefill half drains —
+            # popping here (rather than never) is what keeps a
+            # million-request disaggregated run's memory flat.
+            if rep.role == "decode":
+                origin, first = self._prefill_half.pop(
+                    record.request.req_id)
+            else:
+                origin = self._origins.pop(record.request.req_id)
+                first = record
+            if rep.role == "prefill" and origin.output_len > 1:
+                # One link hop of the context's KV bytes.
+                moved = self.config.kv_cache_bytes(
+                    seq_len=origin.prompt_len + 1, batch=1,
+                    bits=rep.engine.kvq_bits)
+                seconds = moved / self.interconnect.link_bandwidth_bytes \
+                    + self.interconnect.link_latency_s
+                self._n_migrations += 1
+                self._transfer_bytes += moved
+                self._transfer_seconds += seconds
+                sub = self._decode_request(
+                    origin, arrival_s=record.finish_s + seconds)
+                # Tie-break by req_id, not push order: leaping can
+                # reorder which replica drains first, and the heap order
+                # must not depend on that.
+                heapq.heappush(self._migrations,
+                               (sub.arrival_s, sub.req_id, sub))
+                self._prefill_half[origin.req_id] = (origin, record)
+                continue
+            # Decode done, or nothing left to decode after the prefill.
+            self._finals.append(RequestRecord(
+                request=origin, admitted_s=first.admitted_s,
+                first_token_s=first.first_token_s,
+                finish_s=record.finish_s))
+
     def _decode_request(self, origin: Request,
                         arrival_s: float) -> Request:
         """The decode-side half of a migrated request.
@@ -263,380 +522,87 @@ class ServingCluster:
                        output_len=origin.output_len - 1,
                        prefix_group=None, prefix_len=0, kv_ready=True)
 
-    def _transfer(self, origin: Request, kvq_bits: int) -> tuple:
-        """(bytes, seconds) of one KV migration over the interconnect."""
-        moved = self.config.kv_cache_bytes(
-            seq_len=origin.prompt_len + 1, batch=1, bits=kvq_bits)
-        seconds = moved / self.interconnect.link_bandwidth_bytes \
-            + self.interconnect.link_latency_s
-        return moved, seconds
+    # -- the drive loop --------------------------------------------------
+    def _drive(self, pending: list, times: list) -> None:
+        """The event loop shared by every deployment.
 
-    def _leap_horizon(self, rep: Replica, next_event: float) -> float:
-        """How far ``rep``'s step may safely leap.
+        Four event kinds: arrival cohorts, KV migrations (a prefill
+        completion's decode half, routed by ``decode_router`` once its
+        transfer lands), replica boots and scaler ticks (elastic fleets
+        only).  A ``(clock, index)`` min-heap with lazy invalidation
+        picks the earliest busy replica in O(log replicas), ties to the
+        lowest index (every busy replica holds one live entry:
+        :meth:`_route` pushes it when the replica gets work,
+        :meth:`_advance` after each step).  That replica steps when its
+        clock is strictly before the next event; otherwise the event
+        fires.  At equal times a boot comes first, then an arrival, a
+        migration, and a tick.
 
-        Unified and prefill replicas only ever receive trace arrivals,
-        all of which are known, so the next pending event bounds them.
-        A decode replica additionally receives KV migrations that do
-        not exist yet: a prefill completion at time ``f`` enqueues a
-        migration arriving strictly after ``f``, and ``f`` can be no
-        earlier than that replica's current clock — so the earliest
-        busy prefill clock also bounds the horizon.
-
-        The prefill-clock minimum is cached per drain epoch
-        (``_prefill_min``, invalidated whenever a prefill replica
-        steps, advances, or takes a route) instead of rescanning the
-        fleet for every decode step.
-        """
-        if rep.role != "decode":
-            return next_event
-        bound = self._prefill_min
-        if bound is None:
-            bound = math.inf
-            for other in self.replicas:
-                if other.role == "prefill" and other.engine.has_work() \
-                        and other.engine.now < bound:
-                    bound = other.engine.now
-            self._prefill_min = bound
-        return bound if bound < next_event else next_event
-
-    # -- the cluster event loop ------------------------------------------
-    @staticmethod
-    def _record_key(record: RequestRecord) -> tuple:
-        return (record.finish_s, record.request.req_id)
-
-    def _route_to(self, rep: Replica, request: Request,
-                  now: float) -> None:
-        """Commit one routing decision (the router already chose)."""
-        rep.engine.advance_to(now)
-        rep.engine.submit(request)
-        rep.routed += 1
-        rep.arrivals.append(now)
-        if rep.role == "prefill":
-            self._prefill_min = None
-
-    def _drain(self, rep: Replica) -> None:
-        """Fold a replica's new completions into the cluster view.
-
-        Unified replicas need no per-step drain at all (their records
-        are collected wholesale at teardown); this runs for the
-        disaggregated modes, where a prefill completion must spawn its
-        KV migration before the event loop continues.
-        """
-        records = rep.engine.report.records
-        fresh = records[self._seen[rep.index]:]
-        self._seen[rep.index] = len(records)
-        finals = self._finals[rep.index]
-        for record in fresh:
-            # Entries live from routing until the prefill half drains —
-            # popping here (rather than never) is what keeps a
-            # million-request disaggregated run's memory flat.
-            if rep.role == "decode":
-                origin, first = self._prefill_half.pop(
-                    record.request.req_id)
-                finals.append(RequestRecord(
-                    request=origin, admitted_s=first.admitted_s,
-                    first_token_s=first.first_token_s,
-                    finish_s=record.finish_s))
-                continue
-            origin = self._origins.pop(record.request.req_id)
-            if origin.output_len == 1:
-                # Nothing left to decode: done at the prefill side.
-                finals.append(RequestRecord(
-                    request=origin, admitted_s=record.admitted_s,
-                    first_token_s=record.first_token_s,
-                    finish_s=record.finish_s))
-            else:
-                moved, seconds = self._transfer(origin,
-                                                rep.engine.kvq_bits)
-                self._n_migrations += 1
-                self._transfer_bytes += moved
-                self._transfer_seconds += seconds
-                sub = self._decode_request(
-                    origin, arrival_s=record.finish_s + seconds)
-                # Tie-break by req_id, not push order: leaping can
-                # reorder which replica drains first, and the heap
-                # order must not depend on that.
-                heapq.heappush(self._migrations,
-                               (sub.arrival_s, sub.req_id, sub))
-                self._prefill_half[origin.req_id] = (origin, record)
-
-    def _drive_legacy(self, pending: list) -> None:
-        """The pre-heap reference loop: one O(replicas) scan and one
-        ``step`` per iteration, one routed arrival per dispatch.
-
-        Kept verbatim as the ground truth the identity tests diff the
-        compressed loops against."""
-        inf = math.inf
-        idx = 0
-        n_pending = len(pending)
-        unified = self.mode == "unified"
-        while True:
-            arrival_t = pending[idx].arrival_s if idx < n_pending \
-                else inf
-            migration_t = self._migrations[0][0] if self._migrations \
-                else inf
-            next_event = arrival_t if arrival_t <= migration_t \
-                else migration_t
-            worker = None
-            worker_now = inf
-            for rep in self.replicas:
-                if rep.engine.has_work() and rep.engine.now < worker_now:
-                    worker = rep
-                    worker_now = rep.engine.now
-            if worker is not None and worker_now < next_event:
-                # Every arrival up to this step's start is routed, so
-                # the step is causally committed — and every leapt step
-                # starts strictly before the horizon, so the same holds
-                # for each step inside the leap.
-                if worker.role == "prefill":
-                    self._prefill_min = None
-                if worker.engine.step(
-                        horizon=self._leap_horizon(worker, next_event)):
-                    if not unified:
-                        self._drain(worker)
-                elif next_event == inf:
-                    raise ConfigError(
-                        f"replica {worker.index} "
-                        f"({worker.engine.scheduler.name}) stalled with "
-                        f"work queued but nothing planned")
-                else:
-                    worker.engine.advance_to(next_event)
-                continue
-            if next_event == inf:
-                break
-            if arrival_t <= migration_t:
-                request = pending[idx]
-                idx += 1
-                if unified:
-                    # Re-instantiated per replica: engines fed from one
-                    # trace must never share request objects.
-                    sub = replace(request)
-                else:
-                    self._origins[request.req_id] = request
-                    sub = replace(request, output_len=1)
-                targets = self._arrival_targets()
-                self._route_to(self.router.select(sub, targets), sub,
-                               request.arrival_s)
-            else:
-                when, _, sub = heapq.heappop(self._migrations)
-                targets = self._decode_targets()
-                self._route_to(self.decode_router.select(sub, targets),
-                               sub, when)
-
-    def _drive_unified(self, pending: list, times: list) -> None:
-        """Unified-mode compressed loop: span advance + cohort routing.
-
-        Between two external events, unified replicas are completely
-        independent — the only cross-replica coupling is the router
-        reading ``outstanding_tokens`` at dispatch instants, and the
-        set of steps committed by then (every step starting strictly
-        before the event) is the same whether replicas interleave step
-        by step or advance one after the other.  So each busy replica
-        is driven straight to the next arrival in one inner loop: the
-        global quiescence leap falls out for free, because a replica
-        whose plan is pure decode crosses the whole span in one
-        (possibly resumed) leap, and no per-step earliest-replica
-        selection exists at all.
+        An arrival cohort — every arrival no later than the earliest
+        busy clock, the next migration and the next tick, and strictly
+        before the next boot — routes back-to-back through one
+        :meth:`Router.select_batch` call: nothing else can happen
+        between them.  Routing can wake an idle replica whose clock
+        then bounds the cohort (the commit callback shrinks it).
         """
         replicas = self.replicas
+        heap = self._clock
+        migrations = self._migrations
+        booting = self._booting
         inf = math.inf
         idx = 0
         n_pending = len(pending)
-        targets = self._arrival_targets()
+        next_tick = self.tick_s
         while True:
-            arrival_t = times[idx] if idx < n_pending else inf
-            busy_min = inf
-            for rep in replicas:
-                engine = rep.engine
-                while engine.has_work() and engine.now < arrival_t:
-                    if not engine.step(horizon=arrival_t):
-                        if arrival_t == inf:
-                            raise ConfigError(
-                                f"replica {rep.index} "
-                                f"({engine.scheduler.name}) stalled "
-                                f"with work queued but nothing planned")
-                        engine.advance_to(arrival_t)
-                        break
-                if engine.has_work() and engine.now < busy_min:
-                    busy_min = engine.now
-            if idx >= n_pending:
-                break
-            # Cohort dispatch: every arrival that precedes the earliest
-            # busy clock routes back-to-back — no replica has a step to
-            # commit between them.  Routing can wake an idle replica
-            # whose clock lands below a later arrival; the commit
-            # callback shrinks the bound, ending the cohort exactly
-            # where the stepwise loop would have stepped first.
-            upto = bisect_right(times, busy_min, idx)
-
-            def commit(request: Request, rep: Replica) -> bool:
-                nonlocal idx, busy_min
-                self._route_to(rep, replace(request), times[idx])
-                idx += 1
-                now = rep.engine.now
-                if now < busy_min:
-                    busy_min = now
-                return idx < n_pending and times[idx] <= busy_min
-
-            self.router.select_batch(pending[idx:upto], targets, commit)
-
-    def _drive_disaggregated(self, pending: list, times: list) -> None:
-        """Disaggregated compressed loop: lazy min-heap replica clock.
-
-        Migration interleaving couples the replicas (a prefill
-        completion spawns a decode-side arrival, and decode horizons
-        read prefill clocks), so the legacy loop's exact step order is
-        reproduced: a ``(clock, index)`` heap with lazy invalidation
-        picks each earliest busy replica in O(log replicas), matching
-        the linear scan's strict-``<`` lowest-index tie-break.
-        """
-        replicas = self.replicas
-        inf = math.inf
-        heap: list = []
-        idx = 0
-        n_pending = len(pending)
-        targets = self._arrival_targets()
-        decode_targets = self._decode_targets()
-        while True:
-            arrival_t = times[idx] if idx < n_pending else inf
-            migration_t = self._migrations[0][0] if self._migrations \
-                else inf
-            next_event = arrival_t if arrival_t <= migration_t \
-                else migration_t
             worker = None
             worker_now = inf
             while heap:
                 clock, i = heap[0]
-                rep = replicas[i]
-                if rep.engine.now != clock or not rep.engine.has_work():
+                engine = replicas[i].engine
+                if engine.now != clock or not engine.has_work():
                     heapq.heappop(heap)  # Stale entry.
                     continue
-                worker = rep
+                worker = replicas[i]
                 worker_now = clock
                 break
+            arrival_t = times[idx] if idx < n_pending else inf
+            migration_t = migrations[0][0] if migrations else inf
+            ready_t = booting[0].ready_s if booting else inf
+            # Ticks stop once nothing can ever arrive or run again —
+            # the loop must not scale an empty fleet forever.
+            tick_t = next_tick if (idx < n_pending or worker is not None
+                                   or booting) else inf
+            next_event = min(arrival_t, migration_t, ready_t, tick_t)
             if worker is not None and worker_now < next_event:
                 heapq.heappop(heap)
-                engine = worker.engine
-                if worker.role == "prefill":
-                    self._prefill_min = None
-                if engine.step(
-                        horizon=self._leap_horizon(worker, next_event)):
-                    self._drain(worker)
-                    if engine.has_work():
-                        heapq.heappush(heap, (engine.now, worker.index))
-                elif next_event == inf:
-                    raise ConfigError(
-                        f"replica {worker.index} "
-                        f"({engine.scheduler.name}) stalled with "
-                        f"work queued but nothing planned")
-                else:
-                    engine.advance_to(next_event)
-                    heapq.heappush(heap, (engine.now, worker.index))
+                self._advance(worker, next_event)
                 continue
             if next_event == inf:
                 break
-            if arrival_t <= migration_t:
-                # Arrival cohort to the prefill pool, bounded by the
-                # earliest busy clock and the next migration (which
-                # only steps can spawn — none happen inside a cohort).
-                bound = worker_now if worker_now < migration_t \
-                    else migration_t
-                upto = bisect_right(times, bound, idx)
+            if ready_t == next_event:
+                self._boot(ready_t)
+            elif arrival_t == next_event:
+                bound = min(worker_now, migration_t, tick_t)
+                upto = min(bisect_right(times, bound, idx),
+                           bisect_left(times, ready_t, idx))
 
                 def commit(request: Request, rep: Replica) -> bool:
                     nonlocal idx, bound
-                    self._origins[request.req_id] = request
-                    sub = replace(request, output_len=1)
-                    self._route_to(rep, sub, times[idx])
-                    heapq.heappush(heap, (rep.engine.now, rep.index))
+                    self._route(rep, self._admit(request), times[idx])
                     idx += 1
-                    now = rep.engine.now
-                    if now < bound:
-                        bound = now
-                    return idx < n_pending and times[idx] <= bound
+                    if rep.engine.now < bound:
+                        bound = rep.engine.now
+                    return idx < upto and times[idx] <= bound
 
-                self.router.select_batch(pending[idx:upto], targets,
+                self.router.select_batch(pending[idx:upto], self._targets,
                                          commit)
+            elif migration_t == next_event:
+                when, _, sub = heapq.heappop(migrations)
+                self._route(self.decode_router.select(
+                    sub, self._decode_targets), sub, when)
             else:
-                when, _, sub = heapq.heappop(self._migrations)
-                rep = self.decode_router.select(sub, decode_targets)
-                self._route_to(rep, sub, when)
-                heapq.heappush(heap, (rep.engine.now, rep.index))
-
-    def run(self, trace: list[Request],
-            legacy: bool = False) -> ClusterReport:
-        """Serve a trace across the replicas; merge into one report.
-
-        ``legacy=True`` drives the pre-heap reference event loop; the
-        report is field-for-field identical either way (the identity
-        test suite enforces it), only wall-clock differs.
-        """
-        if not trace:
-            raise ConfigError("empty trace")
-        pending = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
-        times = arrival_times(pending)
-        self._validate(pending)
-        self.router.reset()
-        self.decode_router.reset()
-        for rep in self.replicas:
-            rep.engine.start()
-            rep.routed = 0
-            rep.arrivals = []
-        #: Migration heap of (arrival_s, req_id, Request).
-        self._migrations: list = []
-        self._origins: dict[int, Request] = {}
-        #: req_id -> (origin, prefill-half record), decode in flight.
-        self._prefill_half: dict[int, tuple] = {}
-        self._finals: list[list] = [[] for _ in self.replicas]
-        self._seen = [0] * self.n_replicas
-        self._n_migrations = 0
-        self._transfer_bytes = 0.0
-        self._transfer_seconds = 0.0
-        self._prefill_min: float | None = None
-
-        if legacy:
-            self._drive_legacy(pending)
-        else:
-            if self.mode == "unified":
-                self._drive_unified(pending, times)
-            else:
-                self._drive_disaggregated(pending, times)
-
-        if self._prefill_half:
-            raise ConfigError(f"{len(self._prefill_half)} migrated "
-                              f"requests never completed decode; "
-                              f"cluster bookkeeping is broken")
-        makespan = max(rep.engine.now for rep in self.replicas)
-        reports = []
-        for rep in self.replicas:
-            rep.engine.report.offered_rps = _offered_rps(rep.arrivals)
-            reports.append(rep.engine.finish())
-        # Each replica drains completions in its own clock order, so
-        # the cluster-wide (finish_s, req_id) order is a k-way merge of
-        # per-replica streams (sorted first: simultaneous finishers of
-        # one step land in running order, and Timsort on the
-        # nearly-sorted stream is cheap), not a full global sort.
-        # req_ids are unique, so the merged total order is exactly what
-        # ``merged.sort(...)`` produced.
-        if self.mode == "unified":
-            streams = [sorted(report.records, key=self._record_key)
-                       for report in reports]
-        else:
-            streams = [sorted(final, key=self._record_key)
-                       for final in self._finals]
-        merged = list(heapq.merge(*streams, key=self._record_key))
-        if len(merged) != len(pending):
-            raise ConfigError(
-                f"cluster completed {len(merged)} of {len(pending)} "
-                f"requests; completion merging lost records")
-        return ClusterReport(
-            design=self.name, router=self.router.name, mode=self.mode,
-            replicas=reports, records=merged, makespan_s=makespan,
-            offered_rps=offered_load_rps(trace),
-            routed=[rep.routed for rep in self.replicas],
-            migrations=self._n_migrations,
-            kv_transfer_bytes=self._transfer_bytes,
-            kv_transfer_seconds=self._transfer_seconds)
+                self._decide(tick_t)
+                next_tick = tick_t + self.tick_s
 
 
 def make_cluster(design, config, n_replicas: int,
@@ -662,26 +628,16 @@ def make_cluster(design, config, n_replicas: int,
     if n_replicas < 1:
         raise ConfigError("n_replicas must be positive")
     scheduler_kwargs = dict(scheduler_kwargs or {})
-    if "block_manager" in scheduler_kwargs:
-        raise ConfigError(
-            "pass kv_capacity_bytes, not a block_manager: a shared pool "
-            "instance would alias KV state across replicas")
     if mode == "disaggregated" and prefill_replicas is None:
         prefill_replicas = max(1, n_replicas // 2)
     engines = []
     for index in range(n_replicas):
-        decode_side = mode == "disaggregated" and \
-            prefill_replicas is not None and index >= prefill_replicas
-        replica_policy = "continuous" if decode_side else policy
-        kwargs = {} if replica_policy != policy else scheduler_kwargs
-        scheduler = make_scheduler(replica_policy, config,
-                                   max_batch=max_batch,
-                                   kv_capacity_bytes=kv_capacity_bytes,
-                                   kvq_bits=kvq_bits, **kwargs)
-        engines.append(ServingEngine(design, config, scheduler,
-                                     kvq_bits=kvq_bits,
-                                     seq_len_bucket=seq_len_bucket,
-                                     **engine_kwargs))
+        replica_policy = "continuous" if mode == "disaggregated" and \
+            index >= prefill_replicas else policy
+        engines.append(build_engine(
+            design, config, replica_policy, max_batch, kv_capacity_bytes,
+            kvq_bits, scheduler_kwargs if replica_policy == policy else {},
+            seq_len_bucket, **engine_kwargs))
     return ServingCluster(engines, router=router, mode=mode,
                           prefill_replicas=prefill_replicas,
                           decode_router=decode_router,

@@ -199,10 +199,8 @@ class SweepPoint:
     ``autoscaler``, and ``tick_s`` so every axis the cluster and
     autoscaling paths support is a declared, validated field.
     ``scheduler_kwargs`` stays for the long tail (preemption mode,
-    admit headroom, ...); the deprecated spelling of a promoted knob
-    through it still works but is normalized into the field (and
-    conflicts between the two spellings are rejected), so
-    ``point.block_size`` is always authoritative.
+    admit headroom, ...); naming a promoted knob there is rejected, so
+    ``point.block_size`` is the one spelling.
 
     ``scheduler_kwargs`` / ``autoscaler_kwargs`` are tuples of
     ``(name, value)`` pairs so the point stays hashable/frozen; dicts
@@ -306,19 +304,15 @@ class SweepPoint:
                     f"prefill_replicas must leave at least one decode "
                     f"replica: need 1 <= prefill_replicas < "
                     f"{self.n_replicas}, got {value}")
-        remaining = dict(self.scheduler_kwargs)
+        scheduler_kwargs = dict(self.scheduler_kwargs)
+        object.__setattr__(self, "scheduler_kwargs",
+                           tuple(sorted(scheduler_kwargs.items())))
         for name in ("block_size", "chunk_tokens"):
+            if name in scheduler_kwargs:
+                raise ConfigError(
+                    f"{name} is a SweepPoint field; pass {name}=..., "
+                    f"not scheduler_kwargs={{{name!r}: ...}}")
             value = getattr(self, name)
-            if name in remaining:
-                # Deprecated spelling: promote into the field so the
-                # point always carries the knob in one place.
-                legacy = int(remaining.pop(name))
-                if value is not None and int(value) != legacy:
-                    raise ConfigError(
-                        f"{name} given twice with different values: "
-                        f"field {value!r} vs scheduler_kwargs "
-                        f"{legacy!r}")
-                value = legacy if value is None else value
             if value is None:
                 continue
             value = int(value)
@@ -329,8 +323,6 @@ class SweepPoint:
                 raise ConfigError(
                     f"{name} applies to the paged scheduler stack, not "
                     f"policy={self.policy!r}")
-        object.__setattr__(self, "scheduler_kwargs",
-                           tuple(sorted(remaining.items())))
 
 
 @lru_cache(maxsize=None)

@@ -14,9 +14,15 @@ ISSUE tentpole pinned here:
 """
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.arch import make_design
 from repro.errors import ConfigError
 from repro.llm import ModelConfig
@@ -31,6 +37,7 @@ from repro.serve import (
     PredictiveAutoscaler,
     ReactiveAutoscaler,
     Request,
+    ServingEngine,
     StaticAutoscaler,
     SweepPoint,
     TenantPriorityPolicy,
@@ -60,6 +67,41 @@ TENANTS = (
 )
 SLOS = (TenantSLO(tenant=0, ttft_slo_s=60.0, weight=4.0, priority=1),
         TenantSLO(tenant=1, ttft_slo_s=600.0, weight=1.0))
+
+
+#: Fleets whose timing is NaN used to spin forever: a NaN tick never
+#: lets an arrival route, and a NaN ready time empties every arrival
+#: cohort.  Run in a child process under a timeout.
+NAN_FLEET_SCRIPT = """
+import math
+from repro.arch import make_design
+from repro.errors import ConfigError
+from repro.llm import ModelConfig
+from repro.serve import ColdStartConfig, Request, make_autoscaling_cluster
+
+config = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
+                     n_heads=16, n_kv_heads=2, hidden_dim=512,
+                     ffn_dim=1024, max_seq_len=2048, vocab_size=1000)
+design = make_design("mugi", 64)
+# Finite timing serves this in well under a second, with cold starts.
+trace = [Request(req_id=i, arrival_s=0.01 * i, prompt_len=32,
+                 output_len=32) for i in range(30)]
+cases = {
+    "tick": lambda: {"tick_s": math.nan},
+    "provision": lambda: {
+        "cold_start": ColdStartConfig(provision_s=math.nan)},
+    "bandwidth": lambda: {
+        "cold_start": ColdStartConfig(link_bandwidth_bytes=math.nan)},
+}
+for name, kwargs in cases.items():
+    try:
+        make_autoscaling_cluster(
+            design, config, 3, autoscaler="reactive",
+            autoscaler_kwargs={"target_tokens_per_replica": 100.0},
+            **{"tick_s": 0.05, **kwargs()}).run(trace)
+    except ConfigError:
+        print(name, flush=True)
+"""
 
 
 def tiny_design():
@@ -107,6 +149,13 @@ class TestColdStartConfig:
             ColdStartConfig(link_bandwidth_bytes=0.0)
         with pytest.raises(ConfigError, match="woq_bits"):
             ColdStartConfig(woq_bits=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["provision_s", "link_bandwidth_bytes",
+                                      "link_latency_s", "woq_bits"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite "):
+            ColdStartConfig(**{name: value})
 
 
 class TestScalerDecisions:
@@ -433,6 +482,40 @@ class TestFleetLifecycle:
         lows = [n for t, n in settled.items() if t < report.makespan_s]
         assert lows and min(lows) >= 2
 
+    @pytest.mark.parametrize("tick_s", [math.nan, math.inf, 0.0, -1.0])
+    def test_tick_must_be_positive_and_finite(self, tick_s):
+        with pytest.raises(ConfigError, match="tick_s"):
+            make_autoscaling_cluster(tiny_design(), TINY_GQA, 2,
+                                     tick_s=tick_s)
+
+    def test_non_finite_timing_raises_instead_of_hanging(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", NAN_FLEET_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["tick", "provision", "bandwidth"]
+
+    def test_kv_ready_rejected_before_any_step(self, monkeypatch):
+        """A peak-reservation fleet could serve a kv_ready request, so
+        only the whole-trace check catches it — before any step, as
+        the fixed cluster does, not when routing reaches it."""
+        steps = []
+        step = ServingEngine.step
+
+        def counted(engine, *args, **kwargs):
+            steps.append(engine)
+            return step(engine, *args, **kwargs)
+
+        monkeypatch.setattr(ServingEngine, "step", counted)
+        trace = tiny_trace(duration_s=60.0)
+        trace[-1] = replace(trace[-1], kv_ready=True)
+        with pytest.raises(ConfigError, match="cluster-internal"):
+            tiny_fleet("static", policy="continuous").run(trace)
+        assert steps == []
+
     def test_slos_need_paged_policy(self):
         with pytest.raises(ConfigError, match="paged"):
             tiny_fleet("static", policy="continuous", slos=SLOS)
@@ -444,12 +527,7 @@ class TestFleetLifecycle:
         request = Request(req_id=0, arrival_s=0.0, prompt_len=8,
                           output_len=4)
         with pytest.raises(ConfigError, match="duplicate"):
-            fleet.run([request, replace_req(request)])
-
-
-def replace_req(request):
-    from dataclasses import replace as _replace
-    return _replace(request)
+            fleet.run([request, replace(request)])
 
 
 class TestFleetReportCost:

@@ -536,7 +536,7 @@ class TestElasticRoutingIsolation:
         def spying_select(request, replicas):
             candidate_states.extend(rep.state for rep in replicas)
             fleet_states.append(
-                frozenset(rep.state for rep in fleet.fleet))
+                frozenset(rep.state for rep in fleet.replicas))
             return inner(request, replicas)
 
         fleet.router.select = spying_select

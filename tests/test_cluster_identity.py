@@ -1,13 +1,12 @@
-"""Heap-scheduled fleet loops are bit-identical to the legacy scans.
+"""The fleet driver is bit-identical to the naive reference loop.
 
-PR tentpole contract: the event-compressed cluster drive loops (lazy
-min-heap replica clock, batched cohort routing, cross-replica decode
-horizons, global quiescence leaps) must reproduce the legacy
-earliest-busy-replica scan loop *bit for bit* — every record, every
-accumulator, every per-replica report field — across unified,
-disaggregated, and autoscaling fleets under every router.  Only the
-diagnostic step-cache / leap counters may differ (the compressed loop
-plans fewer steps).
+The cluster drive loop (lazy min-heap replica clock, batched cohort
+routing, cross-replica decode horizons, resumed leaps) must reproduce
+the reference loop of :mod:`fleet_reference` — a linear
+earliest-busy-replica scan routing one arrival at a time — *bit for
+bit*: every record, every accumulator, every per-replica report field,
+across unified, disaggregated, and autoscaling fleets under every
+router.  Only the diagnostic step-cache / leap counters may differ.
 
 Also here: a property test that batched routing
 (:meth:`repro.serve.router.Router.select_batch`) makes the same
@@ -16,12 +15,13 @@ warm-start surface snapshot (:meth:`StepCostSurface.export_tables` /
 ``install_tables``).
 """
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleet_reference import assert_reports_identical, reference_run
 from repro.arch import make_design
 from repro.llm import ModelConfig
 from repro.serve import (
@@ -45,14 +45,6 @@ PREFIX = PrefixSpec(share=0.5, n_groups=4,
                     dup_share=0.3)
 ROUTERS = tuple(sorted(ROUTER_REGISTRY))
 
-#: Fields that legitimately differ between the compressed and legacy
-#: loops: the heap loop plans fewer steps (quiescence leaps, resumed
-#: windows), so cache probes and leap counters attribute differently.
-DIAGNOSTIC_FIELDS = {"step_cache_hits", "step_cache_misses",
-                     "leap_steps"}
-RECORD_FIELDS = ("request", "admitted_s", "first_token_s", "finish_s")
-
-
 def tiny_design():
     return make_design("mugi", 64)
 
@@ -62,72 +54,35 @@ def _trace(n=80, seed=11, rate=12.0):
                         output=SHORT, prefix=PREFIX, seed=seed)
 
 
-def _diff_records(fast, slow):
-    assert len(fast) == len(slow), "record counts differ"
-    for ra, rb in zip(fast, slow):
-        for name in RECORD_FIELDS:
-            assert getattr(ra, name) == getattr(rb, name), (name, ra, rb)
-
-
-def assert_cluster_reports_identical(fast, slow):
-    """Field-by-field bitwise diff of two ClusterReports (and their
-    per-replica ServingReports)."""
-    assert type(fast) is type(slow)
-    for f in fields(slow):
-        if f.name in DIAGNOSTIC_FIELDS:
-            continue
-        a, b = getattr(fast, f.name), getattr(slow, f.name)
-        if f.name == "records":
-            _diff_records(a, b)
-        elif f.name == "replicas":
-            assert len(a) == len(b), "replica counts differ"
-            for rep_fast, rep_slow in zip(a, b):
-                for rf in fields(rep_slow):
-                    if rf.name in DIAGNOSTIC_FIELDS:
-                        continue
-                    ra = getattr(rep_fast, rf.name)
-                    rb = getattr(rep_slow, rf.name)
-                    if rf.name == "records":
-                        _diff_records(ra, rb)
-                    else:
-                        assert ra == rb, (rf.name, ra, rb)
-        else:
-            assert a == b, (f.name, a, b)
-
-
 class TestClusterIdentity:
     @pytest.mark.parametrize("router", ROUTERS)
     def test_unified_heap_matches_legacy(self, router):
+        def build():
+            return make_cluster(tiny_design(), TINY_GQA, 3, policy="paged",
+                                router=router, seq_len_bucket=16,
+                                max_batch=8)
         trace = _trace()
-        fast = make_cluster(tiny_design(), TINY_GQA, 3, policy="paged",
-                            router=router, seq_len_bucket=16,
-                            max_batch=8).run(trace)
-        slow = make_cluster(tiny_design(), TINY_GQA, 3, policy="paged",
-                            router=router, seq_len_bucket=16,
-                            max_batch=8).run(trace, legacy=True)
-        assert_cluster_reports_identical(fast, slow)
+        assert_reports_identical(build().run(trace),
+                                 reference_run(build(), trace))
 
     @pytest.mark.parametrize("router", ROUTERS)
     def test_disaggregated_heap_matches_legacy(self, router):
+        def build():
+            return make_cluster(tiny_design(), TINY_GQA, 4, policy="paged",
+                                router=router, mode="disaggregated",
+                                seq_len_bucket=16, max_batch=8)
         trace = _trace(n=60, seed=7)
-        kwargs = dict(policy="paged", router=router,
-                      mode="disaggregated", seq_len_bucket=16,
-                      max_batch=8)
-        fast = make_cluster(tiny_design(), TINY_GQA, 4,
-                            **kwargs).run(trace)
-        slow = make_cluster(tiny_design(), TINY_GQA, 4,
-                            **kwargs).run(trace, legacy=True)
-        assert_cluster_reports_identical(fast, slow)
+        assert_reports_identical(build().run(trace),
+                                 reference_run(build(), trace))
 
     def test_unified_continuous_heap_matches_legacy(self):
+        def build():
+            return make_cluster(tiny_design(), TINY_GQA, 3,
+                                policy="continuous", seq_len_bucket=16,
+                                max_batch=8)
         trace = _trace(n=60, seed=3)
-        fast = make_cluster(tiny_design(), TINY_GQA, 3,
-                            policy="continuous", seq_len_bucket=16,
-                            max_batch=8).run(trace)
-        slow = make_cluster(tiny_design(), TINY_GQA, 3,
-                            policy="continuous", seq_len_bucket=16,
-                            max_batch=8).run(trace, legacy=True)
-        assert_cluster_reports_identical(fast, slow)
+        assert_reports_identical(build().run(trace),
+                                 reference_run(build(), trace))
 
 
 class TestFleetIdentity:
@@ -135,20 +90,19 @@ class TestFleetIdentity:
     @pytest.mark.parametrize("autoscaler",
                              ("static", "reactive", "predictive"))
     def test_fleet_heap_matches_legacy(self, autoscaler, router):
+        def build():
+            return make_autoscaling_cluster(
+                tiny_design(), TINY_GQA, 3, autoscaler=autoscaler,
+                policy="paged", router=router, tick_s=5.0,
+                seq_len_bucket=16, max_batch=8)
         trace = _trace(n=70, seed=13, rate=6.0)
-        kwargs = dict(autoscaler=autoscaler, policy="paged",
-                      router=router, tick_s=5.0, seq_len_bucket=16,
-                      max_batch=8)
-        fast = make_autoscaling_cluster(tiny_design(), TINY_GQA, 3,
-                                        **kwargs).run(trace)
-        slow = make_autoscaling_cluster(tiny_design(), TINY_GQA, 3,
-                                        **kwargs).run(trace, legacy=True)
-        assert_cluster_reports_identical(fast, slow)
+        assert_reports_identical(build().run(trace),
+                                 reference_run(build(), trace))
 
     @pytest.mark.parametrize("fleet", (False, True))
     def test_out_of_32_bit_prefix_groups_match_legacy(self, fleet):
         """Prefix groups below 0 or at/above 2**32 route through the
-        batched cohorts exactly as the legacy loop's per-request
+        batched cohorts exactly as the reference loop's per-request
         ``select`` routes them."""
         wide = (-1, 2 ** 33, -(2 ** 40) + 3, 2 ** 32)
         trace = [request if request.prefix_group is None
@@ -158,11 +112,13 @@ class TestFleetIdentity:
         assert {r.prefix_group for r in trace} - {None} == set(wide)
         make, extra = (make_autoscaling_cluster, {"tick_s": 5.0}) \
             if fleet else (make_cluster, {})
-        fast, slow = (make(tiny_design(), TINY_GQA, 3, policy="paged",
-                           router="prefix-affinity", seq_len_bucket=16,
-                           max_batch=8, **extra).run(trace, legacy=legacy)
-                      for legacy in (False, True))
-        assert_cluster_reports_identical(fast, slow)
+
+        def build():
+            return make(tiny_design(), TINY_GQA, 3, policy="paged",
+                        router="prefix-affinity", seq_len_bucket=16,
+                        max_batch=8, **extra)
+        assert_reports_identical(build().run(trace),
+                                 reference_run(build(), trace))
 
     def test_per_replica_diagnostics_surface(self):
         report = make_cluster(tiny_design(), TINY_GQA, 3,

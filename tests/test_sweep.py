@@ -107,21 +107,18 @@ class TestSweepPoint:
                                           ("preemption", "swap"))
 
     def test_promoted_kwargs_normalize_into_fields(self):
-        """The deprecated scheduler_kwargs spelling of block_size /
-        chunk_tokens lands on the first-class fields."""
-        point = _point(policy="paged",
-                       scheduler_kwargs={"chunk_tokens": 768,
-                                         "block_size": 16})
+        """block_size / chunk_tokens are fields only: the old
+        scheduler_kwargs spelling is rejected, naming the field, even
+        when it agrees with the field."""
+        point = _point(policy="paged", block_size=16, chunk_tokens=768)
+        assert (point.block_size, point.chunk_tokens) == (16, 768)
         assert point.scheduler_kwargs == ()
-        assert point.block_size == 16
-        assert point.chunk_tokens == 768
-        # Both spellings agreeing is fine; disagreeing is an error.
-        agreed = _point(policy="paged", block_size=16,
-                        scheduler_kwargs={"block_size": 16})
-        assert agreed.block_size == 16
-        with pytest.raises(ConfigError):
-            _point(policy="paged", block_size=32,
-                   scheduler_kwargs={"block_size": 16})
+        for name in ("block_size", "chunk_tokens"):
+            for extra in ({}, {name: 16}):
+                with pytest.raises(ConfigError,
+                                   match=f"{name} is a SweepPoint field"):
+                    _point(policy="paged", scheduler_kwargs={name: 16},
+                           **extra)
 
     def test_paged_only_fields_validated(self):
         with pytest.raises(ConfigError):
@@ -161,8 +158,8 @@ class TestSweepPoint:
 
     def test_point_pickles(self):
         point = _point(policy="paged", router="prefix-affinity",
-                       n_replicas=3,
-                       scheduler_kwargs={"block_size": 16})
+                       n_replicas=3, block_size=16,
+                       scheduler_kwargs={"preemption": "swap"})
         assert pickle.loads(pickle.dumps(point)) == point
 
 
@@ -227,7 +224,7 @@ class TestRunSweepParallel:
     def test_cluster_point_survives_fan_out(self):
         point = _point(label="cluster", policy="paged",
                        router="prefix-affinity", n_replicas=2,
-                       scheduler_kwargs={"block_size": 16})
+                       block_size=16)
         serial = run_sweep([point]).outcomes[0]
         fanned = run_sweep([point, _point(label="other", seed=6)],
                            jobs=2)["cluster"]
