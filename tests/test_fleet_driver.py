@@ -23,26 +23,60 @@ from fleet_reference import assert_reports_identical, reference_run
 from repro.arch import make_design
 from repro.llm import ModelConfig
 from repro.serve import (
+    Autoscaler,
     ColdStartConfig,
     LengthSpec,
     PrefixSpec,
+    Request,
+    StaticAutoscaler,
+    bursty_trace,
+    make_autoscaler,
     make_autoscaling_cluster,
     make_cluster,
     poisson_trace,
+    simulate_trace,
 )
 from repro.serve.router import ROUTERS
 
 TINY_GQA = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
                        n_heads=16, n_kv_heads=2, hidden_dim=512,
                        ffn_dim=1024, max_seq_len=2048, vocab_size=1000)
-SHORT = LengthSpec("uniform", low=1, high=40)
+PROMPT = LengthSpec("uniform", low=1, high=40)
+#: Long enough outputs that decode replicas leap across migrations.
+OUTPUT = LengthSpec("uniform", low=1, high=96)
 PREFIX = PrefixSpec(share=0.5, n_groups=3,
                     length=LengthSpec("fixed", value=24), dup_share=0.3)
-#: Room for just one of the largest drawn requests (104 tokens), so the
+#: Tick and burst periods: exact binary fractions, so events coincide.
+GRID = (0.0625, 0.25, 1.0)
+#: Room for just one of the largest drawn requests (160 tokens), so the
 #: paged runs preempt and the peak-reservation runs queue.
-CAPACITY = TINY_GQA.kv_cache_bytes(seq_len=128, batch=1, bits=4)
+CAPACITY = TINY_GQA.kv_cache_bytes(seq_len=176, batch=1, bits=4)
 
 DESIGN = make_design("mugi", 64)
+
+
+class ParityScaler(Autoscaler):
+    """A canary scaler: the fleet size follows the parity-like residue
+    of everything a tick observes, so any change in what the driver lets
+    a tick see — one token, one request, one arrival — resizes the
+    fleet and shows up in the report."""
+
+    name = "parity"
+
+    def desired(self, snapshot):
+        seen = snapshot.outstanding_tokens + snapshot.inflight_requests \
+            + round(snapshot.arrival_rate_rps * snapshot.tick_s)
+        return self.min_replicas + seen % (self.max_replicas
+                                          - self.min_replicas + 1)
+
+
+def cold_start(provision_s):
+    """A cold start on the tick grid: the weights stream in exactly
+    1/16 s (the link moves 16x the checkpoint per second), so boots tie
+    with ticks and bursts too."""
+    weight_bytes = TINY_GQA.param_count() * 4 / 8
+    return ColdStartConfig(provision_s=provision_s, link_latency_s=0.0,
+                           link_bandwidth_bytes=16 * weight_bytes)
 
 
 @st.composite
@@ -59,36 +93,52 @@ def fleet_runs(draw):
                   kv_capacity_bytes=draw(st.sampled_from((CAPACITY,
                                                           None))),
                   seq_len_bucket=draw(st.sampled_from((2, 16))))
-    n_replicas = draw(st.integers(2 if mode == "disaggregated" else 1, 4))
+    n_replicas = draw(st.integers(1 if mode == "unified" else 2, 4))
     if mode == "elastic":
-        scaler = draw(st.sampled_from(("static", "reactive",
+        scaler = draw(st.sampled_from(("parity", "static", "reactive",
                                        "predictive")))
-        scaler_kwargs = {"min_replicas": 1} if scaler == "static" else \
-            {"reactive": {"target_tokens_per_replica": 60.0},
-             "predictive": {"replica_rps": 2.0,
-                            "horizon_s": 0.3}}[scaler]
-        extra = dict(autoscaler=scaler, autoscaler_kwargs=scaler_kwargs,
-                     tick_s=draw(st.sampled_from((0.05, 0.2, 1.0))),
-                     cold_start=ColdStartConfig(provision_s=draw(
-                         st.sampled_from((0.0, 0.05, 0.3)))))
+        scaler_kwargs = {
+            "parity": {"max_replicas": n_replicas},
+            "static": {"max_replicas": n_replicas},
+            "reactive": {"target_tokens_per_replica": 40.0,
+                         "max_replicas": n_replicas},
+            "predictive": {"replica_rps": 2.0, "horizon_s": 0.25,
+                           "backlog_tokens_per_replica": 100.0,
+                           "max_replicas": n_replicas},
+        }[scaler]
+        extra = dict(tick_s=draw(st.sampled_from(GRID)),
+                     cold_start=cold_start(draw(
+                         st.sampled_from((0.0,) + GRID[:2]))))
 
         def build(**engine):
+            # A fresh scaler per run: scalers keep forecast state.
+            autoscaler = ParityScaler(**scaler_kwargs) \
+                if scaler == "parity" \
+                else make_autoscaler(scaler, **scaler_kwargs)
             return make_autoscaling_cluster(DESIGN, TINY_GQA, n_replicas,
+                                            autoscaler=autoscaler,
                                             **kwargs, **extra, **engine)
     else:
         def build(**engine):
             return make_cluster(DESIGN, TINY_GQA, n_replicas, mode=mode,
                                 **kwargs, **engine)
-    trace = poisson_trace(
-        n_requests=draw(st.integers(4, 40)),
-        rate_rps=draw(st.sampled_from((5.0, 20.0, 80.0))),
-        prompt=SHORT, output=SHORT, prefix=PREFIX,
-        seed=draw(st.integers(0, 2 ** 16)))
+    shape = dict(n_requests=draw(st.integers(4, 40)), prompt=PROMPT,
+                 output=OUTPUT, prefix=PREFIX,
+                 seed=draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        trace = poisson_trace(rate_rps=draw(st.sampled_from(
+            (5.0, 20.0, 80.0, 320.0))), **shape)
+    else:
+        # Simultaneous bursts on the tick grid: arrivals tie with ticks
+        # and with the clocks of replicas they wake.
+        trace = bursty_trace(burst_size=draw(st.integers(1, 8)),
+                             burst_period_s=draw(st.sampled_from(GRID)),
+                             **shape)
     return mode, build, trace
 
 
 @given(fleet_runs())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_driver_matches_reference_and_stepwise(run):
     mode, build, trace = run
     report = build().run(trace)
@@ -107,3 +157,41 @@ def test_driver_matches_reference_and_stepwise(run):
     assert report.migrations == expected
     # A migration is routed a second time, to a decode replica.
     assert sum(report.routed) == len(trace) + expected
+
+
+class _Recorder(StaticAutoscaler):
+    """A one-replica static scaler that keeps every snapshot it sees."""
+
+    def __init__(self):
+        super().__init__(max_replicas=1)
+        self.snapshots = []
+
+    def desired(self, snapshot):
+        self.snapshots.append(snapshot)
+        return super().desired(snapshot)
+
+
+def test_cohort_stops_at_the_next_tick():
+    """An arrival after a tick routes after it, even while every busy
+    clock is already past the tick: the tick's window counts only the
+    arrivals up to it."""
+    probe = Request(req_id=0, arrival_s=0.0, prompt_len=1000,
+                    output_len=2)
+    tick = simulate_trace(DESIGN, TINY_GQA, [probe]).records[0] \
+        .first_token_s / 3  # The probe's prefill step spans 3 ticks.
+    trace = [probe,
+             Request(req_id=1, arrival_s=0.5 * tick, prompt_len=8,
+                     output_len=2),
+             Request(req_id=2, arrival_s=1.5 * tick, prompt_len=8,
+                     output_len=2)]
+
+    def build():
+        scaler = _Recorder()
+        return scaler, make_autoscaling_cluster(
+            DESIGN, TINY_GQA, 1, autoscaler=scaler, tick_s=tick)
+
+    scaler, fleet = build()
+    report = fleet.run(trace)
+    first = next(s for s in scaler.snapshots if s.now_s == tick)
+    assert round(first.arrival_rate_rps * tick) == 2
+    assert_reports_identical(report, reference_run(build()[1], trace))
