@@ -419,7 +419,8 @@ class ServingCluster:
         return replace(request, output_len=1)
 
     def _route(self, rep: Replica, request: Request, now: float) -> None:
-        """Commit one routing decision (the router already chose)."""
+        """Commit one routing decision (the router already chose); a
+        replica this wakes joins the clock heap."""
         engine = rep.engine
         idle = not engine.has_work()
         engine.advance_to(now)
@@ -431,7 +432,8 @@ class ServingCluster:
 
     def _advance(self, rep: Replica, next_event: float) -> None:
         """Commit the earliest busy replica's next step — a leap may run
-        up to ``next_event`` — or idle it there if it plans nothing.
+        up to ``next_event`` — or idle it there if it plans nothing; a
+        replica still busy afterwards re-enters the clock heap.
 
         Every event up to the step's start has happened, so the step is
         causally committed, and every leapt step starts strictly before

@@ -69,9 +69,9 @@ SLOS = (TenantSLO(tenant=0, ttft_slo_s=60.0, weight=4.0, priority=1),
         TenantSLO(tenant=1, ttft_slo_s=600.0, weight=1.0))
 
 
-#: Fleets whose timing is NaN used to spin forever: a NaN tick never
-#: lets an arrival route, and a NaN ready time empties every arrival
-#: cohort.  Run in a child process under a timeout.
+#: A fleet that accepted NaN timing would spin forever: a NaN tick
+#: never lets an arrival route, and a NaN ready time empties every
+#: arrival cohort.  Run in a child process under a timeout.
 NAN_FLEET_SCRIPT = """
 import math
 from repro.arch import make_design
