@@ -269,7 +269,7 @@ class ServingCluster:
         self.router.reset()
         if self.mode == "disaggregated":
             self.decode_router.reset()
-        #: Replica clock heap of (engine clock, index), lazily stale.
+        #: (engine clock, index) of every busy replica, a min-heap.
         self._clock: list = []
         #: Migration heap of (arrival_s, req_id, Request).
         self._migrations: list = []
@@ -531,11 +531,11 @@ class ServingCluster:
         Four event kinds: arrival cohorts, KV migrations (a prefill
         completion's decode half, routed by ``decode_router`` once its
         transfer lands), replica boots and scaler ticks (elastic fleets
-        only).  A ``(clock, index)`` min-heap with lazy invalidation
-        picks the earliest busy replica in O(log replicas), ties to the
-        lowest index (every busy replica holds one live entry:
-        :meth:`_route` pushes it when the replica gets work,
-        :meth:`_advance` after each step).  That replica steps when its
+        only).  A ``(clock, index)`` min-heap holds exactly one entry
+        per busy replica — :meth:`_route` pushes it when the replica
+        gets work, :meth:`_advance` after each step, and nothing else
+        moves a busy replica's clock — so its top is the earliest busy
+        replica, ties to the lowest index.  That replica steps when its
         clock is strictly before the next event; otherwise the event
         fires.  At equal times a boot comes first, then an arrival, a
         migration, and a tick.
@@ -556,28 +556,18 @@ class ServingCluster:
         n_pending = len(pending)
         next_tick = self.tick_s
         while True:
-            worker = None
-            worker_now = inf
-            while heap:
-                clock, i = heap[0]
-                engine = replicas[i].engine
-                if engine.now != clock or not engine.has_work():
-                    heapq.heappop(heap)  # Stale entry.
-                    continue
-                worker = replicas[i]
-                worker_now = clock
-                break
+            worker_now = heap[0][0] if heap else inf
             arrival_t = times[idx] if idx < n_pending else inf
             migration_t = migrations[0][0] if migrations else inf
             ready_t = booting[0].ready_s if booting else inf
             # Ticks stop once nothing can ever arrive or run again —
             # the loop must not scale an empty fleet forever.
-            tick_t = next_tick if (idx < n_pending or worker is not None
-                                   or booting) else inf
+            tick_t = next_tick if (idx < n_pending or heap or booting) \
+                else inf
             next_event = min(arrival_t, migration_t, ready_t, tick_t)
-            if worker is not None and worker_now < next_event:
-                heapq.heappop(heap)
-                self._advance(worker, next_event)
+            if worker_now < next_event:
+                self._advance(replicas[heapq.heappop(heap)[1]],
+                              next_event)
                 continue
             if next_event == inf:
                 break
