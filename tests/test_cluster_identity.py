@@ -1,6 +1,6 @@
 """The fleet driver is bit-identical to the naive reference loop.
 
-The cluster drive loop (lazy min-heap replica clock, batched cohort
+The cluster drive loop (min-heap replica clock, batched cohort
 routing, cross-replica decode horizons, resumed leaps) must reproduce
 the reference loop of :mod:`fleet_reference` — a linear
 earliest-busy-replica scan routing one arrival at a time — *bit for
@@ -44,6 +44,7 @@ PREFIX = PrefixSpec(share=0.5, n_groups=4,
                     length=LengthSpec("fixed", value=32),
                     dup_share=0.3)
 ROUTERS = tuple(sorted(ROUTER_REGISTRY))
+
 
 def tiny_design():
     return make_design("mugi", 64)
