@@ -28,6 +28,7 @@ property-tested under randomized admit/extend/free/swap sequences.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -75,8 +76,10 @@ class BlockManager:
                  kvq_bits: int = 4):
         if block_size < 1:
             raise ConfigError("block_size must be positive")
-        if capacity_bytes <= 0:
-            raise ConfigError("capacity_bytes must be positive")
+        # Written so NaN fails too: a NaN or infinite budget has no
+        # whole number of blocks.
+        if not 0 < capacity_bytes < math.inf:
+            raise ConfigError("capacity_bytes must be finite and positive")
         self.config = config
         self.block_size = block_size
         self.kvq_bits = kvq_bits
@@ -194,30 +197,71 @@ class BlockManager:
         """
         if seq_id in self._table:
             raise ConfigError(f"sequence {seq_id} already has a table")
-        self._table[seq_id] = []
+        table = self._resident_prefix(request)
+        for block in table:
+            if block in self._cached:
+                del self._cached[block]
+                self._ref[block] = 1
+            else:
+                self._ref[block] += 1
+        self._table[seq_id] = table
         self._prefix[seq_id] = (request.prefix_group, request.prefix_len)
+        cached = min(len(table) * self.block_size, request.prompt_len - 1)
         self.stats.prefix_query_tokens += request.prompt_len
-        cached = 0
-        group = request.prefix_group
-        if group is not None:
-            max_cached = request.prompt_len - 1
-            idx = 0
-            while (idx + 1) * self.block_size <= request.prefix_len and \
-                    idx * self.block_size < max_cached:
-                block = self._block_of.get((group, idx))
-                if block is None:
-                    break
-                if block in self._cached:
-                    del self._cached[block]
-                    self._ref[block] = 1
-                else:
-                    self._ref[block] += 1
-                self._table[seq_id].append(block)
-                idx += 1
-            cached = min(idx * self.block_size, max_cached)
-            self.stats.prefix_hit_tokens += cached
+        self.stats.prefix_hit_tokens += cached
         self._tokens[seq_id] = cached
         return cached
+
+    def _resident_prefix(self, request: Request) -> list[int]:
+        """The request's resident shared-prefix blocks, in table order.
+
+        Whole prefix blocks that start below the capped prompt
+        (``prompt_len - 1``), hashed under the request's group, up to
+        the first one that is not resident (live or cached).
+        """
+        group = request.prefix_group
+        if group is None:
+            return []
+        block_of = self._block_of
+        blocks = []
+        for idx in range(min(request.prefix_len,
+                             request.prompt_len + self.block_size - 2)
+                         // self.block_size):
+            block = block_of.get((group, idx))
+            if block is None:
+                break
+            blocks.append(block)
+        return blocks
+
+    def probe_admission(self, request: Request) -> tuple[int, int, int]:
+        """What opening ``request`` would give, without opening it.
+
+        Returns ``(cached, available, room)``: the prefix-cached tokens
+        :meth:`begin_sequence` would return, :attr:`available_blocks`
+        after its attach, and the :meth:`max_extend` that would follow.
+        Touches no table, refcount or statistic.  It does move the
+        request's cached-resident prefix blocks to the MRU end, in
+        table order: an attach followed by :meth:`free_sequence` leaves
+        them there, and the paged scheduler probes a blocked queue head
+        every step, so eviction order depends on that refresh.
+        """
+        size = self.block_size
+        blocks = self._resident_prefix(request)
+        cached_pool = self._cached
+        available = len(self._free) + len(cached_pool)
+        for block in blocks:
+            if block in cached_pool:
+                cached_pool.move_to_end(block)
+                available -= 1
+        cached = min(len(blocks) * size, request.prompt_len - 1)
+        slack = len(blocks) * size - cached
+        if slack and blocks[-1] not in cached_pool:
+            # The capped prompt's last token lands in a block other
+            # sequences hold: the first write copies it.
+            if available == 0:
+                return cached, 0, 0
+            return cached, available, slack + (available - 1) * size
+        return cached, available, slack + available * size
 
     def max_extend(self, seq_id: int) -> int:
         """Most tokens :meth:`extend` could currently grant ``seq_id``."""
@@ -247,10 +291,10 @@ class BlockManager:
         lands in it.  All-or-nothing: returns False (and changes
         nothing) when the pool cannot supply every needed block.
 
-        This is the hottest block-manager path (once per decoder per
-        engine step), so the bookkeeping is inlined arithmetic: the
-        common in-block single-token extend touches two dict entries
-        and nothing else.
+        Prefill chunks call this directly.  Decode steps and leap
+        commits go through :meth:`extend_decode` and :meth:`extend_bulk`,
+        which call it only for a write that opens a block, copies a
+        shared one or may publish a prefix block.
         """
         if n_tokens < 1:
             raise ConfigError("n_tokens must be positive")
@@ -295,6 +339,38 @@ class BlockManager:
                 self._register(table[idx], (group, idx))
         return True
 
+    def extend_decode(self, seq_ids: list) -> bool:
+        """One decode step: one more KV token for each of ``seq_ids``.
+
+        Equal to ``extend(seq_id, 1)`` for each sequence in turn.  A
+        one-token write needs at most one block — a fresh one at a
+        block boundary or the copy of a shared tail, never both — so
+        the step fits whenever the pool holds one available block per
+        sequence; otherwise this returns False with nothing changed,
+        and the caller falls back to per-sequence extends it can
+        preempt around.
+
+        A write past the sequence's prefix that stays inside its block
+        table only bumps the token count.  It opens no block and
+        publishes no prefix block, and it copies nothing: a block that
+        other sequences also hold is a hashed prefix block, which lies
+        below every holder's ``prefix_len`` (:meth:`check_invariants`).
+        Every other write goes through :meth:`extend` in order, so the
+        pool hands out blocks exactly as the per-sequence loop would.
+        """
+        if len(seq_ids) > len(self._free) + len(self._cached):
+            return False
+        tokens, tables, prefix = self._tokens, self._table, self._prefix
+        size = self.block_size
+        for seq_id in seq_ids:
+            cur = tokens[seq_id]
+            if cur < len(tables[seq_id]) * size and \
+                    cur >= prefix[seq_id][1]:
+                tokens[seq_id] = cur + 1
+            else:
+                self.extend(seq_id, 1)
+        return True
+
     def extend_bulk(self, grants: list) -> bool:
         """Extend several sequences at once, all-or-nothing.
 
@@ -312,21 +388,34 @@ class BlockManager:
         identical to the stepwise schedule: ``_take_free`` drains the
         free list and then the LRU cached blocks in the same global
         order no matter which sequence consumes each block, and nothing
-        inside a leap window inserts into or touches either pool.
+        inside a leap window inserts into or touches either pool.  As
+        in :meth:`extend_decode`, a grant past the prefix that stays
+        inside the block table only bumps the token count.
         """
+        tokens, tables, ref = self._tokens, self._table, self._ref
+        size = self.block_size
         need = 0
         for seq_id, n_tokens in grants:
             if n_tokens < 1:
                 raise ConfigError("n_tokens must be positive")
-            table = self._table[seq_id]
-            cur = self._tokens[seq_id]
-            need += max(0, self.blocks_needed(cur + n_tokens) - len(table))
-            if self._needs_cow(seq_id, cur):
+            table = tables[seq_id]
+            cur = tokens[seq_id]
+            grow = (cur + n_tokens + size - 1) // size - len(table)
+            if grow > 0:
+                need += grow
+            idx = cur // size
+            if idx < len(table) and ref[table[idx]] > 1:
                 need += 1
-        if need > self.available_blocks:
+        if need > len(self._free) + len(self._cached):
             return False
+        prefix = self._prefix
         for seq_id, n_tokens in grants:
-            if not self.extend(seq_id, n_tokens):
+            cur = tokens[seq_id]
+            target = cur + n_tokens
+            if target <= len(tables[seq_id]) * size and \
+                    cur >= prefix[seq_id][1]:
+                tokens[seq_id] = target
+            elif not self.extend(seq_id, n_tokens):
                 # The pre-check bounded total demand, so per-sequence
                 # extends cannot fail part-way through.
                 raise ConfigError(
@@ -408,6 +497,12 @@ class BlockManager:
             if not tokens <= len(table) * self.block_size:
                 raise ConfigError(f"sequence {seq_id} holds fewer blocks "
                                   f"than its {tokens} tokens need")
+            # Only hashed prefix blocks are ever shared, so a write past
+            # the prefix never needs a copy (the extend fast paths).
+            past_prefix = table[self._prefix[seq_id][1] // self.block_size:]
+            if any(self._ref[block] > 1 for block in past_prefix):
+                raise ConfigError(f"sequence {seq_id} shares a block past "
+                                  f"its prefix")
         for key, block in self._block_of.items():
             if self._hash_of.get(block) != key:
                 raise ConfigError("prefix hash maps disagree")

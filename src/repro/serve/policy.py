@@ -25,6 +25,8 @@ loop through the same ``plan_step`` protocol, with chunk work carried in
 
 from __future__ import annotations
 
+import math
+from bisect import insort
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -72,9 +74,9 @@ class PagedSequenceState(SequenceState):
         self.preemptions = preemptions
         self.swapped_tokens = swapped_tokens
         #: The policy's queue key, computed once at enqueue (keys are
-        #: pure functions of immutable Request fields, and the per-step
-        #: sorts are hot enough that re-deriving tuples dominated
-        #: planning).
+        #: stable while a sequence lives, and the waiting-queue inserts
+        #: and running-set sorts are hot enough that re-deriving tuples
+        #: dominated planning).
         self.queue_sort_key = queue_sort_key
 
     @property
@@ -116,12 +118,15 @@ class TenantSLO:
     def __post_init__(self):
         if self.tenant < 0:
             raise ConfigError("tenant id must be non-negative")
-        if self.ttft_slo_s is not None and self.ttft_slo_s <= 0:
+        # Written so NaN fails too: a NaN SLO judges every completion
+        # bad, and a NaN weight makes queue keys unordered.
+        if self.ttft_slo_s is not None and not self.ttft_slo_s > 0:
             raise ConfigError("ttft_slo_s must be positive")
-        if self.tpot_slo_s is not None and self.tpot_slo_s <= 0:
+        if self.tpot_slo_s is not None and not self.tpot_slo_s > 0:
             raise ConfigError("tpot_slo_s must be positive")
-        if self.weight <= 0:
-            raise ConfigError("fair-share weight must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ConfigError("fair-share weight must be finite and "
+                              "positive")
 
 
 def tenant_slo_map(slos) -> dict:
@@ -222,8 +227,8 @@ class FairSharePolicy(SchedulingPolicy):
 
     def __init__(self, slos=(), default_weight: float = 1.0):
         super().__init__(slos)
-        if default_weight <= 0:
-            raise ConfigError("default_weight must be positive")
+        if not 0 < default_weight < math.inf:
+            raise ConfigError("default_weight must be finite and positive")
         self.default_weight = default_weight
         self._tags: dict[int, float] = {}
 
@@ -363,8 +368,10 @@ class PagedScheduler:
         if preemption not in ("recompute", "swap"):
             raise ConfigError(f"unknown preemption mode {preemption!r}; "
                               f"choose 'recompute' or 'swap'")
-        if host_link_bytes_s <= 0:
-            raise ConfigError("host_link_bytes_s must be positive")
+        # Written so NaN fails too: swap time is bytes over this rate.
+        if not 0 < host_link_bytes_s < math.inf:
+            raise ConfigError("host_link_bytes_s must be finite and "
+                              "positive")
         self.config = config
         self.max_batch = max_batch
         self.kvq_bits = kvq_bits
@@ -393,15 +400,12 @@ class PagedScheduler:
             self.block_manager = BlockManager(
                 config, kv_capacity_bytes, block_size=block_size,
                 kvq_bits=kvq_bits)
+        #: Policy-ordered on insert: queue keys are computed once and
+        #: stable while a sequence waits, so no step re-sorts it.
         self.waiting: list[PagedSequenceState] = []
         self.running: list[PagedSequenceState] = []
         self.swapped: list[PagedSequenceState] = []
         self.preemption_count = 0
-        #: The waiting queue is kept policy-sorted and only re-sorted
-        #: after an append (queue keys are stable while a sequence
-        #: waits — they derive from immutable Request fields — so
-        #: skipping the per-step re-sort cannot change the order).
-        self._waiting_sorted = True
         #: Incremental work counter (see Scheduler.outstanding_tokens):
         #: waiting/running/swapped sequences all count total - generated
         #: (preemption moves sequences between those sets, changing
@@ -487,8 +491,7 @@ class PagedScheduler:
             request=request, admitted_s=None,
             prefill_target=request.prompt_len)
         state.queue_sort_key = self.policy.queue_key(state)
-        self.waiting.append(state)
-        self._waiting_sorted = False
+        insort(self.waiting, state, key=_QUEUE_KEY)
         self.outstanding_tokens += request.total_tokens
         self.mutations += 1
 
@@ -553,9 +556,9 @@ class PagedScheduler:
           a preemption the leap cannot represent, so the window shrinks
           until the whole leap's block demand fits the pool;
         * **blocked-head retries** — a waiting (or swapped-out) head is
-          retried every stepwise step.  Those retries are pure
-          round-trips, *except* that an admission attempt touches the
-          prefix-cache LRU order; interleaved cached-block evictions
+          retried every stepwise step.  Those retries change nothing,
+          *except* that an admission probe touches the prefix-cache
+          LRU order; interleaved cached-block evictions
           could then pick different victims than the bulk schedule.
           With waiting or swapped sequences present the window is
           therefore bounded by the **free** list alone (no evictions
@@ -716,16 +719,7 @@ class PagedScheduler:
             state.prefilled = 0
             state.prefill_target = state.request.prompt_len + state.generated
             state.context_len = 0
-            self.waiting.append(state)
-            self._waiting_sorted = False
-
-    def _rollback_admission(self, state: PagedSequenceState,
-                            cached: int) -> None:
-        """Undo a begin_sequence whose first chunk could not be placed."""
-        stats = self.block_manager.stats
-        stats.prefix_query_tokens -= state.request.prompt_len
-        stats.prefix_hit_tokens -= cached
-        self.block_manager.free_sequence(state.request.req_id)
+            insort(self.waiting, state, key=_QUEUE_KEY)
 
     def _partition_running(self) -> tuple[list, list]:
         """(decoders, prefilling) of the running set, policy-sorted."""
@@ -783,15 +777,10 @@ class PagedScheduler:
         #    are skipped there via ``preempted_now``, exactly as
         #    stepwise victims always were.
         decoders, prefilling = self._partition_running()
-        if decoders and manager.available_blocks >= 2 * len(decoders):
-            # A single-token extend needs at most one fresh block plus
-            # one copy-on-write block, so the pool covers every decoder
-            # below: no extend can fail, no victim is ever picked, and
-            # the allocations land in the same order the guarded loop
-            # would produce.
-            extend = manager.extend
-            for state in decoders:
-                extend(state.request.req_id, 1)
+        if manager.extend_decode([s.request.req_id for s in decoders]):
+            # The pool covered every decoder at once (extend_decode's
+            # bound), so no extend failed and no victim is ever picked:
+            # the allocations landed in the guarded loop's order.
             plan.decode = decoders
             committed.update(map(id, decoders))
         else:
@@ -846,27 +835,23 @@ class PagedScheduler:
         # 4. Admission: reserve only the first chunk's blocks.  The
         #    head of the (policy-ordered) queue blocks the rest — FCFS
         #    stays starvation-free — unless the policy preempts for it.
-        if not self._waiting_sorted:
-            self.waiting.sort(key=_QUEUE_KEY)
-            self._waiting_sorted = True
+        #    The head is probed read-only and opened only once it fits.
         while budget > 0 and self.waiting and \
                 len(self.running) < self.max_batch:
             state = self.waiting[0]
             if id(state) in preempted_now:
                 break  # No same-step readmission thrash.
-            seq_id = state.request.req_id
-            cached = manager.begin_sequence(seq_id, state.request)
-            take = min(budget, state.prefill_target - cached,
-                       manager.max_extend(seq_id))
+            request = state.request
+            cached, available, room = manager.probe_admission(request)
+            take = min(budget, state.prefill_target - cached, room)
             need = manager.blocks_needed(cached + take) \
                 - manager.blocks_needed(cached)
             if take > 0 and self.running and \
-                    manager.available_blocks - need < headroom_blocks:
+                    available - need < headroom_blocks:
                 # Watermark: leave headroom for running decodes to grow
                 # into, or admission churns straight into preemption.
                 take = 0
             if take <= 0:
-                self._rollback_admission(state, cached)
                 victim = None
                 if self.policy.preemptive_admission:
                     candidate = self._pick_victim(committed)
@@ -878,6 +863,8 @@ class PagedScheduler:
                 preempt(victim)
                 continue
             self.waiting.pop(0)
+            seq_id = request.req_id
+            manager.begin_sequence(seq_id, request)
             manager.extend(seq_id, take)
             state.cached_tokens += cached
             state.prefilled = cached + take

@@ -356,6 +356,22 @@ class TestTenantPolicies:
         with pytest.raises(ConfigError, match="weight"):
             TenantSLO(tenant=0, weight=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_fair_share_weights_must_be_finite(self, value):
+        # A NaN weight makes its tenant's queue keys NaN, and the
+        # sorted waiting queue loses its total order.
+        with pytest.raises(ConfigError, match="weight must be finite"):
+            TenantSLO(tenant=0, weight=value)
+        with pytest.raises(ConfigError, match="default_weight must be "
+                                              "finite"):
+            FairSharePolicy(default_weight=value)
+
+    @pytest.mark.parametrize("name", ["ttft_slo_s", "tpot_slo_s"])
+    def test_nan_slo_rejected(self, name):
+        # A NaN SLO would judge every completion of its tenant bad.
+        with pytest.raises(ConfigError, match=f"{name} must be positive"):
+            TenantSLO(tenant=0, **{name: math.nan})
+
     def test_fair_share_tags_advance_inversely_to_weight(self):
         policy = FairSharePolicy(slos=SLOS)
         # Same token totals, tenant 0 at weight 4 vs tenant 1 at 1:

@@ -6,6 +6,8 @@ checked after every operation of a randomized admit/extend/free/swap
 interleaving — the ISSUE's refcount property test.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,12 @@ class TestAllocation:
         assert pool.capacity_bytes == pytest.approx(8 * BLOCK_BYTES)
         with pytest.raises(ConfigError):
             BlockManager(TINY_GQA, BLOCK_BYTES / 2)  # No whole block.
+
+    @pytest.mark.parametrize("capacity", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_finite_capacity(self, capacity):
+        with pytest.raises(ConfigError, match="capacity_bytes must be "
+                                              "finite and positive"):
+            BlockManager(TINY_GQA, capacity)
 
     def test_extend_allocates_by_block(self):
         pool = make_pool(8)

@@ -2,6 +2,7 @@
 KV-capacity edge cases (the ISSUE satellite list)."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -289,3 +290,15 @@ class TestShardedPagedServing:
             PagedScheduler(TINY_GQA, admit_headroom=1.0)
         with pytest.raises(ConfigError):
             PagedScheduler(TINY_GQA, host_link_bytes_s=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_paged_scheduler_rejects_non_finite_pool_inputs(self, value):
+        # A NaN host link makes every swap, and the makespan, NaN; a
+        # NaN pool holds no whole number of blocks.
+        with pytest.raises(ConfigError, match="host_link_bytes_s must be "
+                                              "finite and positive"):
+            PagedScheduler(TINY_GQA, preemption="swap",
+                           host_link_bytes_s=value)
+        with pytest.raises(ConfigError, match="capacity_bytes must be "
+                                              "finite and positive"):
+            PagedScheduler(TINY_GQA, kv_capacity_bytes=value)

@@ -14,7 +14,7 @@ Also covered here: the shared, LRU-bounded step-cost cache
 ``outstanding_tokens`` counters.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +35,7 @@ from repro.serve import (
     PrefixSpec,
     Request,
     ServingEngine,
+    TenantSLO,
     make_cluster,
     make_scheduler,
     poisson_trace,
@@ -85,13 +86,29 @@ def shared_prefix_trace(n_requests, seed, rate_rps=20.0):
 
 PAGED_CAPACITY = TINY_GQA.kv_cache_bytes(seq_len=200, batch=1, bits=4) * 3
 PAGED_KWARGS = {"block_size": 16, "chunk_tokens": 32}
+#: Policies that read tenant terms: they run on a two-tenant trace.
+TENANT_POLICIES = ("paged-fair-share", "paged-tenant-priority")
+TENANT_SLOS = (TenantSLO(tenant=0, ttft_slo_s=2.0, weight=3.0, priority=1),
+               TenantSLO(tenant=1, tpot_slo_s=0.05, weight=1.0))
+
+
+def policy_trace(policy, n_requests, seed):
+    """The shared-prefix trace, split across two tenants for the
+    tenant-aware policies."""
+    trace = shared_prefix_trace(n_requests, seed)
+    if policy in TENANT_POLICIES:
+        trace = [replace(r, tenant=r.req_id % 2) for r in trace]
+    return trace
 
 
 def run_trace(policy, leap, trace, design=None, bucket=16, **kwargs):
     paged = policy.startswith("paged")
     if paged:
         kwargs.setdefault("kv_capacity_bytes", PAGED_CAPACITY)
-        kwargs.setdefault("scheduler_kwargs", PAGED_KWARGS)
+        scheduler_kwargs = dict(PAGED_KWARGS)
+        if policy in TENANT_POLICIES:
+            scheduler_kwargs["slos"] = TENANT_SLOS
+        kwargs.setdefault("scheduler_kwargs", scheduler_kwargs)
     return simulate_trace(
         design if design is not None else make_design("mugi", 64),
         TINY_GQA, trace, policy=policy, max_batch=6,
@@ -101,10 +118,12 @@ def run_trace(policy, leap, trace, design=None, bucket=16, **kwargs):
 class TestLeapBitIdentity:
     @pytest.mark.parametrize("policy", ["continuous", "static", "paged",
                                         "paged-priority",
-                                        "paged-preemptive"])
+                                        "paged-preemptive",
+                                        "paged-fair-share",
+                                        "paged-tenant-priority"])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_single_engine(self, policy, seed):
-        trace = shared_prefix_trace(40, seed)
+        trace = policy_trace(policy, 40, seed)
         fast = run_trace(policy, True, trace)
         slow = run_trace(policy, False, trace)
         assert fast.leap_steps > 0  # The fast path actually engaged.
@@ -143,12 +162,13 @@ class TestLeapBitIdentity:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000),
            policy=st.sampled_from(["continuous", "static", "paged",
-                                   "paged-preemptive"]),
+                                   "paged-preemptive", "paged-fair-share",
+                                   "paged-tenant-priority"]),
            bucket=st.sampled_from([4, 16, 64]),
            n_requests=st.integers(5, 25))
     def test_property_random_traces(self, seed, policy, bucket,
                                     n_requests):
-        trace = shared_prefix_trace(n_requests, seed)
+        trace = policy_trace(policy, n_requests, seed)
         fast = run_trace(policy, True, trace, bucket=bucket)
         slow = run_trace(policy, False, trace, bucket=bucket)
         assert_reports_identical(fast, slow)
