@@ -255,25 +255,29 @@ class BlockManager:
                 available -= 1
         cached = min(len(blocks) * size, request.prompt_len - 1)
         slack = len(blocks) * size - cached
-        if slack and blocks[-1] not in cached_pool:
-            # The capped prompt's last token lands in a block other
-            # sequences hold: the first write copies it.
-            if available == 0:
-                return cached, 0, 0
-            return cached, available, slack + (available - 1) * size
-        return cached, available, slack + available * size
+        # The capped prompt's last token may land in a block other
+        # sequences hold (live before the attach): the first write
+        # copies it.
+        cow = slack > 0 and blocks[-1] not in cached_pool
+        return cached, available, self._room(slack, available, cow)
 
     def max_extend(self, seq_id: int) -> int:
         """Most tokens :meth:`extend` could currently grant ``seq_id``."""
-        table = self._table[seq_id]
         tokens = self._tokens[seq_id]
-        slack = len(table) * self.block_size - tokens
-        budget = self.available_blocks
-        if slack and self._needs_cow(seq_id, tokens):
-            if budget == 0:
+        return self._room(len(self._table[seq_id]) * self.block_size
+                          - tokens, self.available_blocks,
+                          self._needs_cow(seq_id, tokens))
+
+    def _room(self, slack: int, available: int, cow: bool) -> int:
+        """Tokens a table can grow by: the ``slack`` slots left in its
+        tail block, then ``available`` blocks — one fewer when the tail
+        is shared (``cow``), since the first write burns one on the
+        copy, and none at all when no block is left for that copy."""
+        if cow:
+            if available == 0:
                 return 0
-            budget -= 1  # The first write burns one block on the copy.
-        return slack + budget * self.block_size
+            available -= 1
+        return slack + available * self.block_size
 
     def _needs_cow(self, seq_id: int, position: int) -> bool:
         """Would writing ``position`` hit a block shared with others?"""
@@ -292,9 +296,9 @@ class BlockManager:
         nothing) when the pool cannot supply every needed block.
 
         Prefill chunks call this directly.  Decode steps and leap
-        commits go through :meth:`extend_decode` and :meth:`extend_bulk`,
-        which call it only for a write that opens a block, copies a
-        shared one or may publish a prefix block.
+        commits go through :meth:`extend_bulk`, which calls it only for
+        a write that opens a block, copies a shared one or may publish
+        a prefix block.
         """
         if n_tokens < 1:
             raise ConfigError("n_tokens must be positive")
@@ -339,48 +343,28 @@ class BlockManager:
                 self._register(table[idx], (group, idx))
         return True
 
-    def extend_decode(self, seq_ids: list) -> bool:
-        """One decode step: one more KV token for each of ``seq_ids``.
+    def extend_bulk(self, grants: list) -> bool:
+        """Extend several sequences at once, all-or-nothing.
 
-        Equal to ``extend(seq_id, 1)`` for each sequence in turn.  A
-        one-token write needs at most one block — a fresh one at a
-        block boundary or the copy of a shared tail, never both — so
-        the step fits whenever the pool holds one available block per
-        sequence; otherwise this returns False with nothing changed,
-        and the caller falls back to per-sequence extends it can
-        preempt around.
+        ``grants`` is a list of ``(seq_id, n_tokens)`` pairs, at most
+        one per sequence.  The paged scheduler extends every decoder
+        through this once per step, one token each, and the decode-leap
+        fast path applies K steps of KV growth for a whole active set
+        in one call.  The pre-check sums every sequence's block need
+        (including a copy-on-write block where the first write would
+        land in a shared block), and only if the pool can supply them
+        all does any sequence grow.  Returns False with nothing changed
+        otherwise.  The sum can overstate the demand (one holder's copy
+        may leave another the sole holder), so a caller that must grow
+        whatever fits falls back to per-sequence extends on False.
 
-        A write past the sequence's prefix that stays inside its block
+        A grant past the sequence's prefix that stays inside its block
         table only bumps the token count.  It opens no block and
         publishes no prefix block, and it copies nothing: a block that
         other sequences also hold is a hashed prefix block, which lies
         below every holder's ``prefix_len`` (:meth:`check_invariants`).
-        Every other write goes through :meth:`extend` in order, so the
-        pool hands out blocks exactly as the per-sequence loop would.
-        """
-        if len(seq_ids) > len(self._free) + len(self._cached):
-            return False
-        tokens, tables, prefix = self._tokens, self._table, self._prefix
-        size = self.block_size
-        for seq_id in seq_ids:
-            cur = tokens[seq_id]
-            if cur < len(tables[seq_id]) * size and \
-                    cur >= prefix[seq_id][1]:
-                tokens[seq_id] = cur + 1
-            else:
-                self.extend(seq_id, 1)
-        return True
-
-    def extend_bulk(self, grants: list) -> bool:
-        """Extend several sequences at once, all-or-nothing.
-
-        ``grants`` is a list of ``(seq_id, n_tokens)`` pairs.  The
-        decode-leap fast path uses this to apply K steps of KV growth
-        for a whole active set in one call: the pre-check sums every
-        sequence's block need (including a copy-on-write block where
-        the first write would land in a shared block), and only if the
-        pool can supply them all does any sequence grow.  Returns False
-        with nothing changed otherwise.
+        Every other grant goes through :meth:`extend`, in order; the
+        bumps touch no block, so applying them first changes nothing.
 
         Block allocations happen sequence by sequence rather than
         interleaved step by step, but the observable state — tables,
@@ -388,19 +372,24 @@ class BlockManager:
         identical to the stepwise schedule: ``_take_free`` drains the
         free list and then the LRU cached blocks in the same global
         order no matter which sequence consumes each block, and nothing
-        inside a leap window inserts into or touches either pool.  As
-        in :meth:`extend_decode`, a grant past the prefix that stays
-        inside the block table only bumps the token count.
+        inside a leap window inserts into or touches either pool.
         """
-        tokens, tables, ref = self._tokens, self._table, self._ref
+        tokens, tables, prefix = self._tokens, self._table, self._prefix
+        ref = self._ref
         size = self.block_size
-        need = 0
-        for seq_id, n_tokens in grants:
+        bumps, writes, need = [], [], 0
+        for grant in grants:
+            seq_id, n_tokens = grant
             if n_tokens < 1:
                 raise ConfigError("n_tokens must be positive")
-            table = tables[seq_id]
             cur = tokens[seq_id]
-            grow = (cur + n_tokens + size - 1) // size - len(table)
+            target = cur + n_tokens
+            table = tables[seq_id]
+            if target <= len(table) * size and cur >= prefix[seq_id][1]:
+                bumps.append((seq_id, target))
+                continue
+            writes.append(grant)
+            grow = (target + size - 1) // size - len(table)
             if grow > 0:
                 need += grow
             idx = cur // size
@@ -408,14 +397,9 @@ class BlockManager:
                 need += 1
         if need > len(self._free) + len(self._cached):
             return False
-        prefix = self._prefix
-        for seq_id, n_tokens in grants:
-            cur = tokens[seq_id]
-            target = cur + n_tokens
-            if target <= len(tables[seq_id]) * size and \
-                    cur >= prefix[seq_id][1]:
-                tokens[seq_id] = target
-            elif not self.extend(seq_id, n_tokens):
+        tokens.update(bumps)
+        for seq_id, n_tokens in writes:
+            if not self.extend(seq_id, n_tokens):
                 # The pre-check bounded total demand, so per-sequence
                 # extends cannot fail part-way through.
                 raise ConfigError(

@@ -700,7 +700,10 @@ class PagedScheduler:
             return None
         return max(candidates, key=self.policy.victim_key)
 
-    def _preempt(self, state: PagedSequenceState, plan: StepPlan) -> None:
+    def _preempt(self, state: PagedSequenceState, plan: StepPlan,
+                 requeue: list) -> None:
+        """Take ``state`` off the running set: swap its KV out, or drop
+        it and append ``state`` to ``requeue`` for the waiting queue."""
         self.running.remove(state)
         self.preemption_count += 1
         state.preemptions += 1
@@ -719,7 +722,13 @@ class PagedScheduler:
             state.prefilled = 0
             state.prefill_target = state.request.prompt_len + state.generated
             state.context_len = 0
+            requeue.append(state)
+
+    def _requeue(self, states: list) -> None:
+        """Move recompute victims into the waiting queue, in order."""
+        for state in states:
             insort(self.waiting, state, key=_QUEUE_KEY)
+        states.clear()
 
     def _partition_running(self) -> tuple[list, list]:
         """(decoders, prefilling) of the running set, policy-sorted."""
@@ -741,13 +750,14 @@ class PagedScheduler:
         manager = self.block_manager
         preempted_now: set[int] = set()
         committed: set[int] = set()  # ids of states planned this step
+        requeue: list[PagedSequenceState] = []  # recompute victims
         headroom_blocks = int(self.admit_headroom * manager.num_blocks)
         self._preempted_in_last_plan = False
 
         def preempt(state):
             preempted_now.add(id(state))
             self._preempted_in_last_plan = True
-            self._preempt(state, plan)
+            self._preempt(state, plan, requeue)
 
         # 1. Swapped-out sequences come back as soon as space allows —
         #    they were running once, so they outrank the waiting queue.
@@ -777,10 +787,10 @@ class PagedScheduler:
         #    are skipped there via ``preempted_now``, exactly as
         #    stepwise victims always were.
         decoders, prefilling = self._partition_running()
-        if manager.extend_decode([s.request.req_id for s in decoders]):
-            # The pool covered every decoder at once (extend_decode's
-            # bound), so no extend failed and no victim is ever picked:
-            # the allocations landed in the guarded loop's order.
+        if manager.extend_bulk([(s.request.req_id, 1) for s in decoders]):
+            # The pool covered every decoder at once, so no extend
+            # failed and no victim is ever picked: the allocations
+            # landed in the guarded loop's order.
             plan.decode = decoders
             committed.update(map(id, decoders))
         else:
@@ -836,6 +846,11 @@ class PagedScheduler:
         #    head of the (policy-ordered) queue blocks the rest — FCFS
         #    stays starvation-free — unless the policy preempts for it.
         #    The head is probed read-only and opened only once it fits.
+        #    Victims of parts 2 and 3 join the queue in policy order
+        #    first; victims taken for the head join only after the loop,
+        #    so for the rest of this step they stand behind every waiter
+        #    instead of blocking the ones the loop reaches next.
+        self._requeue(requeue)
         while budget > 0 and self.waiting and \
                 len(self.running) < self.max_batch:
             state = self.waiting[0]
@@ -876,6 +891,7 @@ class PagedScheduler:
                 finishes=state.prefilled == state.prefill_target))
             committed.add(id(state))
             budget -= take
+        self._requeue(requeue)
         return plan
 
 

@@ -2,24 +2,27 @@
 
 The paged scheduler probes a blocked queue head read-only
 (``BlockManager.probe_admission``, which shares ``begin_sequence``'s
-prefix walk), extends every decoder in one call (``extend_decode``),
-and lets leap commits (``extend_bulk``) bump a tail block's token count
-without going through ``extend``.  These tests keep the replaced code
-as references — the earlier ``begin_sequence``, the open-and-roll-back
-admission round trip, the per-decoder ``extend(seq, 1)`` loop and the
-earlier ``extend_bulk`` — and check the new paths against them on
-random pools: prefix groups, blocks shared by live sequences, cached
+prefix walk), and extends every decoder in one ``extend_bulk`` call,
+which bumps a tail block's token count without going through
+``extend``.  These tests keep the replaced code as references — the
+earlier ``begin_sequence``, the open-and-roll-back admission round
+trip, the per-decoder ``extend(seq, 1)`` loop and the earlier
+``extend_bulk`` — and check the new paths against them on random
+pools: prefix groups, blocks shared by live sequences, cached
 (refcount-0) prefix blocks, partial prefills and copy-on-write tails.
 Equality is exact, down to the LRU order of the cached pool, the free
 list, every refcount and the statistics.
 
 The waiting queue is kept sorted on insert instead of re-sorted every
-step; the last class checks that it stays in policy order through
-preemptions and swaps.
+step.  The last classes check that it stays in policy order through
+preemptions and swaps, and run the earlier planner — append, re-sort
+before admission, open and roll back, one extend per decoder — as a
+reference scheduler against the current one on whole traces.
 """
 
 import copy
 from dataclasses import astuple, replace
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,8 @@ from repro.serve import (
     make_scheduler,
     poisson_trace,
 )
+from repro.serve.policy import ChunkTask, PagedSequenceState
+from repro.serve.scheduler import SCHEDULERS, StepPlan
 
 TINY_GQA = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
                        n_heads=16, n_kv_heads=2, hidden_dim=512,
@@ -287,15 +292,20 @@ class TestAdmissionProbe:
         assert manager.stats.prefix_query_tokens == 16  # Untouched.
 
 
-class TestExtendDecode:
+class TestDecodeStep:
+    """The decode step is ``extend_bulk`` with one-token grants."""
+
     @settings(max_examples=300, deadline=None)
     @given(decode_cases())
     def test_matches_per_sequence_extends(self, case):
         manager, seq_ids = case
         reference = copy.deepcopy(manager)
         before = snapshot(manager)
-        extended = manager.extend_decode(seq_ids)
-        assert extended == (len(seq_ids) <= reference.available_blocks)
+        extended = manager.extend_bulk([(seq_id, 1) for seq_id in seq_ids])
+        if len(seq_ids) <= reference.available_blocks:
+            # A one-token write needs a fresh block or a copy, never
+            # both: one available block per decoder always suffices.
+            assert extended
         if extended:
             reference_decode(reference, seq_ids)
             assert snapshot(manager) == snapshot(reference)
@@ -303,20 +313,21 @@ class TestExtendDecode:
             assert snapshot(manager) == before
         manager.check_invariants()
 
-    def test_one_block_per_decoder_suffices(self):
-        # Two decoders at a block boundary and one free block each: a
-        # one-token write needs a fresh block or a copy, never both, so
-        # one block per decoder covers the step.
+    def test_boundary_writes_take_one_block_each(self):
+        # Two decoders at a block boundary and one free block each.
         manager = make_pool(4, 4)
         for seq_id in (0, 1):
             manager.begin_sequence(seq_id, Request(
                 req_id=seq_id, arrival_s=0.0, prompt_len=4, output_len=4))
             assert manager.extend(seq_id, 4)
         assert manager.available_blocks == 2
-        assert manager.extend_decode([0, 1])
+        assert manager.extend_bulk([(0, 1), (1, 1)])
         assert manager.free_blocks == 0
-        assert not manager.extend_decode([0, 1])
-        assert [manager.tokens_of(s) for s in (0, 1)] == [5, 5]
+        # Writes inside the fresh tails need no block at all.
+        assert manager.extend_bulk([(0, 1), (1, 1)])
+        assert [manager.tokens_of(s) for s in (0, 1)] == [6, 6]
+        assert not manager.extend_bulk([(0, 3), (1, 1)])
+        assert [manager.tokens_of(s) for s in (0, 1)] == [6, 6]
 
 
 class TestExtendBulk:
@@ -376,3 +387,222 @@ class TestSortedWaitingQueue:
         report = engine.finish()
         assert report.completed == len(pending)
         assert scheduler.preemption_count > 0
+
+
+# -- the whole planner against the one it replaced ---------------------------
+
+_QUEUE_KEY = attrgetter("queue_sort_key")
+
+
+class ParentPlanner:
+    """The paged planner as it was, mixed in ahead of a paged
+    scheduler class: waiters are appended and the queue re-sorted just
+    before admission, a blocked head is opened with ``begin_sequence``
+    and rolled back, and decoders extend one ``extend(seq, 1)`` at a
+    time.  A victim preempted for the queue head is appended behind
+    every waiter and stays there until the next step's sort."""
+
+    _waiting_sorted = True
+
+    def _enqueue_validated(self, request):
+        state = PagedSequenceState(
+            request=request, admitted_s=None,
+            prefill_target=request.prompt_len)
+        state.queue_sort_key = self.policy.queue_key(state)
+        self.waiting.append(state)
+        self._waiting_sorted = False
+        self.outstanding_tokens += request.total_tokens
+        self.mutations += 1
+
+    def _preempt(self, state, plan):
+        self.running.remove(state)
+        self.preemption_count += 1
+        state.preemptions += 1
+        seq_id = state.request.req_id
+        manager = self.block_manager
+        if self.preemption == "swap":
+            state.swapped_tokens = manager.tokens_of(seq_id)
+            moved = manager.swap_out(seq_id)
+            plan.swap_seconds += moved / self.host_link_bytes_s
+            self.swapped.append(state)
+        else:
+            manager.free_sequence(seq_id)
+            state.prefilled = 0
+            state.prefill_target = state.request.prompt_len + state.generated
+            state.context_len = 0
+            self.waiting.append(state)
+            self._waiting_sorted = False
+
+    def _rollback_admission(self, state, cached):
+        stats = self.block_manager.stats
+        stats.prefix_query_tokens -= state.request.prompt_len
+        stats.prefix_hit_tokens -= cached
+        self.block_manager.free_sequence(state.request.req_id)
+
+    def plan_step(self, now):
+        plan = StepPlan()
+        manager = self.block_manager
+        preempted_now = set()
+        committed = set()
+        headroom_blocks = int(self.admit_headroom * manager.num_blocks)
+        self._preempted_in_last_plan = False
+
+        def preempt(state):
+            preempted_now.add(id(state))
+            self._preempted_in_last_plan = True
+            self._preempt(state, plan)
+
+        for state in sorted(self.swapped, key=_QUEUE_KEY):
+            if len(self.running) >= self.max_batch:
+                break
+            need = manager.blocks_needed(max(state.swapped_tokens, 1))
+            if self.running and \
+                    manager.available_blocks - need < headroom_blocks:
+                break
+            moved = manager.swap_in(state.request.req_id,
+                                    state.swapped_tokens)
+            if moved is None:
+                break
+            plan.swap_seconds += moved / self.host_link_bytes_s
+            self.swapped.remove(state)
+            self.running.append(state)
+            committed.add(id(state))
+
+        decoders, prefilling = self._partition_running()
+        if decoders and manager.available_blocks >= 2 * len(decoders):
+            for state in decoders:
+                manager.extend(state.request.req_id, 1)
+            plan.decode = decoders
+            committed.update(map(id, decoders))
+        else:
+            for state in decoders:
+                if id(state) in preempted_now:
+                    continue
+                while True:
+                    if manager.extend(state.request.req_id, 1):
+                        plan.decode.append(state)
+                        committed.add(id(state))
+                        break
+                    victim = self._pick_victim(committed | {id(state)})
+                    if victim is None:
+                        if id(state) in committed:
+                            break
+                        preempt(state)
+                        break
+                    preempt(victim)
+
+        budget = self.chunk_tokens
+        for state in prefilling:
+            if budget <= 0:
+                break
+            if id(state) in preempted_now:
+                continue
+            seq_id = state.request.req_id
+            while True:
+                take = min(budget, state.prefill_target - state.prefilled,
+                           manager.max_extend(seq_id))
+                if take > 0:
+                    manager.extend(seq_id, take)
+                    plan.chunks.append(ChunkTask(
+                        state=state, past=state.prefilled, new=take,
+                        finishes=state.prefilled + take
+                        == state.prefill_target))
+                    state.prefilled += take
+                    committed.add(id(state))
+                    budget -= take
+                    break
+                victim = self._pick_victim(committed | {id(state)})
+                if victim is None:
+                    break
+                preempt(victim)
+
+        if not self._waiting_sorted:
+            self.waiting.sort(key=_QUEUE_KEY)
+            self._waiting_sorted = True
+        while budget > 0 and self.waiting and \
+                len(self.running) < self.max_batch:
+            state = self.waiting[0]
+            if id(state) in preempted_now:
+                break
+            seq_id = state.request.req_id
+            cached = manager.begin_sequence(seq_id, state.request)
+            take = min(budget, state.prefill_target - cached,
+                       manager.max_extend(seq_id))
+            need = manager.blocks_needed(cached + take) \
+                - manager.blocks_needed(cached)
+            if take > 0 and self.running and \
+                    manager.available_blocks - need < headroom_blocks:
+                take = 0
+            if take <= 0:
+                self._rollback_admission(state, cached)
+                victim = None
+                if self.policy.preemptive_admission:
+                    candidate = self._pick_victim(committed)
+                    if candidate is not None and \
+                            self.policy.outranks(state, candidate):
+                        victim = candidate
+                if victim is None:
+                    break
+                preempt(victim)
+                continue
+            self.waiting.pop(0)
+            manager.extend(seq_id, take)
+            state.cached_tokens += cached
+            state.prefilled = cached + take
+            if state.admitted_s is None:
+                state.admitted_s = now
+            self.running.append(state)
+            plan.chunks.append(ChunkTask(
+                state=state, past=cached, new=take,
+                finishes=state.prefilled == state.prefill_target))
+            committed.add(id(state))
+            budget -= take
+        return plan
+
+
+PAGED_POLICIES = ("paged", "paged-priority", "paged-preemptive",
+                  "paged-fair-share", "paged-tenant-priority")
+
+
+def serve(policy, preemption, leap, trace, parent):
+    """Serve ``trace`` on a tight pool; return the report and pool."""
+    cls = SCHEDULERS[policy]
+    if parent:
+        cls = type("Parent" + cls.__name__, (ParentPlanner, cls), {})
+    scheduler = cls(TINY_GQA, max_batch=6, block_size=16, chunk_tokens=32,
+                    preemption=preemption, slos=SLOS,
+                    kv_capacity_bytes=TINY_GQA.kv_cache_bytes(
+                        seq_len=512, batch=1, bits=4))
+    engine = ServingEngine(make_design("mugi", 64), TINY_GQA, scheduler,
+                           seq_len_bucket=16, leap=leap)
+    return engine.run(trace), scheduler
+
+
+def assert_same_schedule(policy, preemption, leap, seed):
+    trace = tight_trace(seed)
+    report, scheduler = serve(policy, preemption, leap, trace, False)
+    expected, reference = serve(policy, preemption, leap, trace, True)
+    assert report == expected
+    assert snapshot(scheduler.block_manager) == \
+        snapshot(reference.block_manager)
+    return scheduler
+
+
+class TestParentPlanner:
+    # Seeds 6, 30 and 40 have a high-priority head take a victim and
+    # then admit, with lower-priority waiters behind it that arrived
+    # after the victim: a victim inserted ahead of them at once would
+    # end that step's admissions early.
+    @pytest.mark.parametrize("seed", [5, 6, 30, 40])
+    @pytest.mark.parametrize("preemption", ["recompute", "swap"])
+    @pytest.mark.parametrize("policy", PAGED_POLICIES)
+    def test_reports_match(self, policy, preemption, seed):
+        scheduler = assert_same_schedule(policy, preemption, True, seed)
+        assert scheduler.preemption_count > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(policy=st.sampled_from(PAGED_POLICIES),
+           preemption=st.sampled_from(["recompute", "swap"]),
+           leap=st.booleans(), seed=st.integers(0, 10_000))
+    def test_property_random_traces(self, policy, preemption, leap, seed):
+        assert_same_schedule(policy, preemption, leap, seed)
