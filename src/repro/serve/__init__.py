@@ -1,12 +1,13 @@
 """Continuous-batching serving simulator with paged KV management.
 
 A discrete-event layer above the architecture simulator: request traces
-(:mod:`.trace`) flow through a batching policy — the PR 1
-peak-reservation schedulers (:mod:`.scheduler`) or the paged
-block-granular stack (:mod:`.policy` over :mod:`.kv_cache`: prefix
-caching, chunked prefill, recompute/swap preemption) — and a step loop
-(:mod:`.engine`) that lowers each step's ragged active set to operator
-graphs and prices them on any Table 2 design or NoC system;
+(:mod:`.trace`) flow through a batching policy — a subclass of the one
+:class:`Scheduler` base, either peak reservation (:mod:`.scheduler`:
+``continuous``, ``static``) or the paged block-granular stack
+(:mod:`.policy` over :mod:`.kv_cache`: prefix caching, chunked prefill,
+recompute/swap preemption), all registered in :data:`SCHEDULERS` — and
+a step loop (:mod:`.engine`) that lowers each step's ragged active set
+to operator graphs and prices them on any Table 2 design or NoC system;
 :mod:`.metrics` aggregates TTFT/TPOT/latency/queue-delay percentiles,
 goodput, KV utilization, and prefix-hit rate.
 
@@ -67,9 +68,7 @@ from .router import (
     make_router,
 )
 from .policy import (
-    POLICIES,
     ChunkTask,
-    FCFSPolicy,
     FairSharePolicy,
     PagedFairShareScheduler,
     PagedPreemptiveScheduler,
@@ -119,7 +118,6 @@ from .trace import (
 __all__ = [
     "AUTOSCALERS",
     "DEFAULT_COLD_START",
-    "POLICIES",
     "ROUTERS",
     "SCHEDULERS",
     "Autoscaler",
@@ -130,7 +128,6 @@ __all__ = [
     "ClusterReport",
     "ColdStartConfig",
     "ContinuousBatchScheduler",
-    "FCFSPolicy",
     "FairSharePolicy",
     "FleetReport",
     "FleetSnapshot",

@@ -493,10 +493,7 @@ class ServingEngine:
         task = plan.chunks[0]
         if task.finishes:
             return
-        windower = getattr(self.scheduler, "chunk_leap_window", None)
-        if windower is None:
-            return
-        window = windower(task)
+        window = self.scheduler.chunk_leap_window(task)
         if window <= 0:
             return
         report = self._report

@@ -14,13 +14,13 @@ vLLM/Orca-style block-granular scheduling:
   a victim — recompute-style (drop its blocks, re-prefill later; the
   prefix cache usually makes the re-prefill cheap) or swap-style (move
   its KV over the host link and restore it when space frees);
-* three policies share this admission interface: strict **FCFS**,
-  **priority** ordering, and **preemptive priority** (a high-priority
-  arrival may evict a low-priority running sequence immediately).
+* five policies share this admission interface: strict **FCFS** (the
+  base :class:`SchedulingPolicy`), **priority** ordering, **preemptive
+  priority** (a high-priority arrival may evict a low-priority running
+  sequence immediately), weighted **fair share** and **tenant priority**.
 
-The scheduler plugs into the unchanged :class:`repro.serve.ServingEngine`
-loop through the same ``plan_step`` protocol, with chunk work carried in
-:attr:`repro.serve.scheduler.StepPlan.chunks`.
+Every paged scheduler subclasses :class:`repro.serve.Scheduler`, the
+engine protocol; chunk work rides in :attr:`repro.serve.StepPlan.chunks`.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
 from .kv_cache import BlockManager
-from .scheduler import (
-    SCHEDULERS,
-    SequenceState,
-    StepPlan,
-    context_window_error,
-)
+from .scheduler import Scheduler, SequenceState, StepPlan
 from .trace import Request
 
 #: C-level sort key over the cached per-state queue tuples.
@@ -159,7 +154,6 @@ class SchedulingPolicy:
     simply ignore them.
     """
 
-    name = "fcfs"
     preemptive_admission = False
 
     def __init__(self, slos=()):
@@ -182,8 +176,6 @@ class SchedulingPolicy:
 class PriorityPolicy(SchedulingPolicy):
     """Order by :attr:`Request.priority` (higher first), then arrival."""
 
-    name = "priority"
-
     def queue_key(self, state: PagedSequenceState) -> tuple:
         request = state.request
         return (-request.priority, request.arrival_s, request.req_id)
@@ -201,7 +193,6 @@ class PreemptivePriorityPolicy(PriorityPolicy):
     """Priority ordering where a blocked high-priority arrival may evict
     a lower-priority running sequence instead of queueing behind it."""
 
-    name = "preemptive"
     preemptive_admission = True
 
 
@@ -219,11 +210,9 @@ class FairSharePolicy(SchedulingPolicy):
 
     Tags are per-instance mutable state (advanced exactly once per
     request, at enqueue), so replicas must not share an instance —
-    :class:`PagedScheduler` builds one per scheduler from the
-    ``policy``/``slos`` names.
+    :class:`PagedScheduler` builds one per scheduler from its
+    ``policy_cls`` and ``slos``.
     """
-
-    name = "fair-share"
 
     def __init__(self, slos=(), default_weight: float = 1.0):
         super().__init__(slos)
@@ -254,8 +243,6 @@ class TenantPriorityPolicy(PriorityPolicy):
     """Tenant rank first (:attr:`TenantSLO.priority`, higher served
     first), then the request-level priority ordering within a rank."""
 
-    name = "tenant-priority"
-
     def _rank(self, request: Request) -> int:
         slo = self.slos.get(request.tenant)
         return 0 if slo is None else slo.priority
@@ -279,15 +266,6 @@ class TenantPriorityPolicy(PriorityPolicy):
         return state.request.priority > victim.request.priority
 
 
-#: The base policy *is* FCFS; the alias names that explicitly.
-FCFSPolicy = SchedulingPolicy
-
-#: Policy registry for string-based construction.
-POLICIES = {cls.name: cls for cls in (
-    SchedulingPolicy, PriorityPolicy, PreemptivePriorityPolicy,
-    FairSharePolicy, TenantPriorityPolicy)}
-
-
 def _first_crossings(manager: BlockManager, decode: list) -> list:
     """Sorted first leapt steps at which each decoder opens a block: one
     holding ``t`` KV tokens opens a block at step ``(-t) % size + 1``
@@ -297,14 +275,12 @@ def _first_crossings(manager: BlockManager, decode: list) -> list:
                    for s in decode])
 
 
-class PagedScheduler:
+class PagedScheduler(Scheduler):
     """Block-granular continuous batching with chunked prefill.
 
     Drives a :class:`repro.serve.kv_cache.BlockManager`: admission
     reserves only the first chunk's blocks, decode allocates per token,
-    and allocation failure preempts per the policy.  Implements the
-    same protocol the :class:`repro.serve.ServingEngine` event loop
-    speaks (``enqueue`` / ``plan_step`` / ``release`` / ...).
+    and allocation failure preempts per the policy.
 
     Parameters
     ----------
@@ -329,14 +305,10 @@ class PagedScheduler:
         to the last block.
     host_link_bytes_s:
         Host link bandwidth charged for swap traffic.
-    policy:
-        A :class:`SchedulingPolicy` name or instance; ``None`` uses the
-        class default (:attr:`policy_cls`).
     slos:
-        :class:`TenantSLO` specs handed to the policy constructor (so
-        ``policy="fair-share", slos=(...)`` builds a per-replica
-        stateful policy without sharing instances).  Only valid with a
-        policy *name* — an instance already carries its own.
+        :class:`TenantSLO` specs handed to the class's
+        :attr:`policy_cls`, which every scheduler builds afresh (a
+        stateful policy is never shared between replicas).
     block_manager:
         Pre-built pool (e.g. :meth:`BlockManager.for_design` for a
         sharded deployment); overrides ``kv_capacity_bytes``.
@@ -356,11 +328,9 @@ class PagedScheduler:
                  preemption: str = "recompute",
                  host_link_bytes_s: float = 64e9,
                  admit_headroom: float = 0.1,
-                 policy: SchedulingPolicy | str | None = None,
                  slos: tuple = (),
                  block_manager: BlockManager | None = None):
-        if max_batch < 1:
-            raise ConfigError("max_batch must be positive")
+        super().__init__(config, max_batch, kvq_bits)
         if chunk_tokens < 1:
             raise ConfigError("chunk_tokens must be positive")
         if not 0.0 <= admit_headroom < 1.0:
@@ -372,25 +342,11 @@ class PagedScheduler:
         if not 0 < host_link_bytes_s < math.inf:
             raise ConfigError("host_link_bytes_s must be finite and "
                               "positive")
-        self.config = config
-        self.max_batch = max_batch
-        self.kvq_bits = kvq_bits
         self.chunk_tokens = chunk_tokens
         self.preemption = preemption
         self.host_link_bytes_s = host_link_bytes_s
         self.admit_headroom = admit_headroom
-        if isinstance(policy, str):
-            try:
-                policy = POLICIES[policy](slos=tuple(slos))
-            except KeyError:
-                raise ConfigError(
-                    f"unknown scheduling policy {policy!r}; "
-                    f"choose from {sorted(POLICIES)}") from None
-        elif policy is not None and slos:
-            raise ConfigError(
-                "pass slos to the policy instance, not alongside it")
-        self.policy = policy if policy is not None \
-            else self.policy_cls(slos=tuple(slos))
+        self.policy = self.policy_cls(slos=tuple(slos))
         if block_manager is not None:
             self.block_manager = block_manager
         else:
@@ -403,17 +359,8 @@ class PagedScheduler:
         #: Policy-ordered on insert: queue keys are computed once and
         #: stable while a sequence waits, so no step re-sorts it.
         self.waiting: list[PagedSequenceState] = []
-        self.running: list[PagedSequenceState] = []
         self.swapped: list[PagedSequenceState] = []
         self.preemption_count = 0
-        #: Incremental work counter (see Scheduler.outstanding_tokens):
-        #: waiting/running/swapped sequences all count total - generated
-        #: (preemption moves sequences between those sets, changing
-        #: nothing).
-        self.outstanding_tokens = 0
-        #: Ingest epoch (see :attr:`repro.serve.Scheduler.mutations`):
-        #: the engine's leap-resume check compares it across steps.
-        self.mutations = 0
         #: Whether the most recent plan_step preempted anything.  A
         #: recompute preemption can hide inside a pure-decode plan (the
         #: victim vanishes from the active set, blocks free, and the
@@ -443,11 +390,7 @@ class PagedScheduler:
         }
 
     # -- engine protocol: admission --------------------------------------
-    def admission_error(self, request: Request) -> str | None:
-        """Why this request can never be served, or None if it can be."""
-        error = context_window_error(self.config, request)
-        if error:
-            return error
+    def _capacity_error(self, request: Request) -> str | None:
         if request.kv_ready:
             return (f"request {request.req_id} arrives with kv_ready set, "
                     f"but the {self.name} scheduler always rebuilds KV "
@@ -460,31 +403,14 @@ class PagedScheduler:
                     f"({manager.capacity_bytes:.3g} bytes)")
         return None
 
-    def trace_error(self, requests: list[Request]) -> str | None:
-        """First reason any of ``requests`` can never be served, or None.
-
-        Vectorized equivalent of per-request :meth:`admission_error`:
-        the context-window and peak-block checks are both plain
-        threshold compares on total tokens
-        (``blocks_needed(t) > num_blocks`` iff
-        ``t > num_blocks * block_size``), and ``kv_ready`` is a flag
-        scan.  The first offender is re-diagnosed object-wise so the
-        message (and check precedence) match exactly.
-        """
-        if not requests:
-            return None
-        n = len(requests)
-        totals = np.fromiter((r.prompt_len + r.output_len
-                              for r in requests), dtype=np.int64, count=n)
+    def _capacity_mask(self, requests: list[Request],
+                       totals: np.ndarray) -> np.ndarray:
+        """``blocks_needed(t) > num_blocks`` iff ``t > num_blocks *
+        block_size``, and ``kv_ready`` is a flag scan."""
         manager = self.block_manager
-        bad = (totals > self.config.max_seq_len) \
-            | (totals > manager.num_blocks * manager.block_size)
-        if not bad.all():
-            bad |= np.fromiter((r.kv_ready for r in requests),
-                               dtype=bool, count=n)
-        if bad.any():
-            return self.admission_error(requests[int(bad.argmax())])
-        return None
+        return (totals > manager.num_blocks * manager.block_size) \
+            | np.fromiter((r.kv_ready for r in requests), dtype=bool,
+                          count=len(requests))
 
     def _enqueue_validated(self, request: Request) -> None:
         state = PagedSequenceState(
@@ -495,54 +421,12 @@ class PagedScheduler:
         self.outstanding_tokens += request.total_tokens
         self.mutations += 1
 
-    def enqueue(self, request: Request) -> None:
-        error = self.admission_error(request)
-        if error:
-            raise ConfigError(error)
-        self._enqueue_validated(request)
-
-    def enqueue_many(self, requests: list[Request]) -> None:
-        """Bulk :meth:`enqueue`: one vectorized validation pass, then
-        the usual per-request waiting-queue inserts."""
-        error = self.trace_error(requests)
-        if error:
-            raise ConfigError(error)
-        for request in requests:
-            self._enqueue_validated(request)
-
     def has_work(self) -> bool:
         return bool(self.waiting or self.running or self.swapped)
 
-    def arrivals_inert(self) -> bool:
-        """True when a newly arrived request cannot change the plan.
-
-        Admission (plan part 4) runs only while
-        ``len(running) < max_batch`` — a full batch never examines the
-        waiting head at all, so there is no admission attempt and *no
-        prefix-cache LRU touch* a leap would have to replay (see
-        :meth:`repro.serve.Scheduler.arrivals_inert`).  Swap-ins come
-        from ``swapped``, chunk scheduling from ``running``; neither
-        looks at arrivals either.
-        """
-        return len(self.running) >= self.max_batch
-
-    def release(self, state: PagedSequenceState) -> None:
-        """Free a finished sequence's blocks (prefix blocks stay cached)."""
-        self.running.remove(state)
+    def _free(self, state: PagedSequenceState) -> None:
+        """Free its blocks (prefix blocks stay cached for later hits)."""
         self.block_manager.free_sequence(state.request.req_id)
-        self.outstanding_tokens -= \
-            state.request.total_tokens - state.generated
-
-    def release_many(self, states: list[PagedSequenceState]) -> None:
-        """Free a completion cohort (block frees must stay per-sequence
-        and in order — the free-list sequence feeds prefix caching)."""
-        for state in states:
-            self.release(state)
-
-    def note_generated(self, tokens: int) -> None:
-        """Engine hook: ``tokens`` generated this step (see
-        :meth:`repro.serve.Scheduler.note_generated`)."""
-        self.outstanding_tokens -= tokens
 
     # -- decode leaping ---------------------------------------------------
     def leap_window(self, plan: StepPlan, max_steps: int) -> int:
@@ -924,8 +808,3 @@ class PagedTenantPriorityScheduler(PagedScheduler):
 
     name = "paged-tenant-priority"
     policy_cls = TenantPriorityPolicy
-
-
-SCHEDULERS.update({cls.name: cls for cls in (
-    PagedScheduler, PagedPriorityScheduler, PagedPreemptiveScheduler,
-    PagedFairShareScheduler, PagedTenantPriorityScheduler)})

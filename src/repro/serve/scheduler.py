@@ -1,9 +1,16 @@
 """Batching policies for the serving engine.
 
-Two schedulers share a strictly-FCFS admission queue with KV-capacity
-admission control (a request reserves its *peak* KV footprint —
-prompt + output tokens — at admission, so capacity can never be exceeded
-mid-decode and no running sequence is ever preempted):
+:class:`Scheduler` is the base of every scheduler.  It owns what both
+families do the same way — validation, the running set, the work
+counters, enqueue and release bookkeeping, the :data:`SCHEDULERS`
+registry — and a family supplies its admission model and leap window:
+block paging in :mod:`.policy`, peak reservation here.
+
+Two peak-reservation schedulers share a strictly-FCFS admission queue
+with KV-capacity admission control (a request reserves its *peak* KV
+footprint — prompt + output tokens — at admission, so capacity can
+never be exceeded mid-decode and no running sequence is ever
+preempted):
 
 * :class:`StaticBatchScheduler` — admit up to ``max_batch`` requests,
   run the batch to completion, only then admit the next batch (the
@@ -26,6 +33,7 @@ commits a step with one short Python loop per phase.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -34,20 +42,6 @@ import numpy as np
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
 from .trace import Request
-
-
-def context_window_error(config: ModelConfig, request: Request
-                         ) -> str | None:
-    """Why ``request`` cannot fit ``config``'s context window, or None.
-
-    Shared by every scheduler family's ``admission_error`` — the check
-    is capacity-independent: prompt + output must fit ``max_seq_len``.
-    """
-    if request.total_tokens > config.max_seq_len:
-        return (f"request {request.req_id} needs "
-                f"{request.total_tokens} context tokens, over "
-                f"{config.name}'s max_seq_len {config.max_seq_len}")
-    return None
 
 
 class SequenceState:
@@ -106,50 +100,61 @@ class StepPlan:
         return len(self.prefill) + len(self.decode) + len(self.chunks)
 
 
+#: Scheduler registry for string-based construction.
+SCHEDULERS: dict[str, type] = {}
+
+
 class Scheduler:
-    """FCFS queue + KV-capacity admission shared by both policies.
+    """The engine protocol, shared by every scheduler family.
+
+    A family supplies its admission model as ``_capacity_error`` (per
+    request, after the context check) and ``_capacity_mask`` (the same
+    check over a trace's total-token array, exact per request); queues
+    a validated request in ``_enqueue_validated``, which also counts it
+    in :attr:`outstanding_tokens` and :attr:`mutations`; gives a
+    released state's KV back in ``_free``; defines ``has_work``,
+    ``plan_step`` and ``kv_utilization``; and overrides the leap hooks
+    where its own state bounds a leap.
 
     Parameters
     ----------
     config:
         The served model (its GQA geometry sets per-token KV bytes).
     max_batch:
-        Most sequences decoded together (array occupancy bound).
-    kv_capacity_bytes:
-        On-device KV budget; ``None`` disables the capacity check.
+        Most sequences active together (array occupancy bound).
     kvq_bits:
         KV-cache quantization width (4 under KVQ).
     """
 
-    name = "fcfs"
+    #: Registry key; a subclass that sets it joins :data:`SCHEDULERS`.
+    name: str | None = None
     #: Whether the policy can admit :attr:`Request.kv_ready` sequences
     #: (KV migrated in from a prefill replica) straight into decode.
     #: The paged schedulers cannot — their block tables only materialize
     #: through local chunk compute — and override this to False.
     supports_kv_ready = True
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "name" in vars(cls):
+            SCHEDULERS[cls.name] = cls
+
     def __init__(self, config: ModelConfig, max_batch: int = 16,
-                 kv_capacity_bytes: float | None = None, kvq_bits: int = 4):
+                 kvq_bits: int = 4):
         if max_batch < 1:
             raise ConfigError("max_batch must be positive")
-        if kv_capacity_bytes is not None and kv_capacity_bytes <= 0:
-            raise ConfigError("kv_capacity_bytes must be positive")
+        # A zero or negative width makes every KV footprint zero or
+        # negative, so capacity would never bind.
+        if not isinstance(kvq_bits, int) or kvq_bits < 1:
+            raise ConfigError("kvq_bits must be a positive integer")
         self.config = config
         self.max_batch = max_batch
-        self.kv_capacity_bytes = kv_capacity_bytes
         self.kvq_bits = kvq_bits
-        self.queue: deque[Request] = deque()
         self.running: list[SequenceState] = []
-        self.reserved_bytes = 0.0
-        #: KV footprints are a pure function of total tokens; traces
-        #: draw lengths from a handful of distributions, so memoizing by
-        #: token count turns the per-request ``kv_cache_bytes`` call
-        #: into a dict hit.
-        self._footprints: dict[int, float] = {}
-        #: KV-footprint-weighted work still owed: every queued request
-        #: counts its full ``total_tokens``, every admitted sequence its
-        #: total minus the tokens already generated.  Maintained
-        #: incrementally (enqueue / per-step generation / release) so
+        #: Work still owed: every queued or admitted sequence counts its
+        #: ``total_tokens`` minus the tokens already generated.
+        #: Maintained incrementally (enqueue / per-step generation /
+        #: release; preemption only moves sequences between sets) so
         #: cluster routers read it in O(1) instead of walking the queue
         #: per arrival.
         self.outstanding_tokens = 0
@@ -161,157 +166,72 @@ class Scheduler:
         #: unchanged (:meth:`repro.serve.ServingEngine.step`).
         self.mutations = 0
 
-    # -- KV accounting --------------------------------------------------
-    def kv_bytes(self, tokens: int) -> float:
-        """KV footprint of one sequence at ``tokens`` context."""
-        return self.config.kv_cache_bytes(seq_len=tokens, batch=1,
-                                          bits=self.kvq_bits)
-
-    def _footprint_of(self, tokens: int) -> float:
-        footprint = self._footprints.get(tokens)
-        if footprint is None:
-            footprint = self._footprints[tokens] = self.kv_bytes(tokens)
-        return footprint
-
-    def _footprint(self, request: Request) -> float:
-        return self._footprint_of(request.total_tokens)
-
+    # -- admission ------------------------------------------------------
     def admission_error(self, request: Request) -> str | None:
         """Why this request can never be served, or None if it can be.
 
-        The engine pre-validates whole traces with this before simulating
-        so an unservable request fails fast, not mid-run.
+        The context window first (prompt + output must fit
+        ``max_seq_len``), then the family's KV model.  The engine
+        pre-validates whole traces (:meth:`trace_error`) before
+        simulating so an unservable request fails fast, not mid-run.
         """
-        error = context_window_error(self.config, request)
-        if error:
-            return error
-        if self.kv_capacity_bytes is not None and \
-                self._footprint(request) > self.kv_capacity_bytes:
+        if request.total_tokens > self.config.max_seq_len:
             return (f"request {request.req_id} needs "
-                    f"{self._footprint(request):.3g} KV bytes, over the "
-                    f"{self.kv_capacity_bytes:.3g}-byte capacity")
-        return None
+                    f"{request.total_tokens} context tokens, over "
+                    f"{self.config.name}'s max_seq_len "
+                    f"{self.config.max_seq_len}")
+        return self._capacity_error(request)
 
     def trace_error(self, requests: list[Request]) -> str | None:
         """First reason any of ``requests`` can never be served, or None.
 
         Vectorized equivalent of calling :meth:`admission_error` on each
-        request in order: both length checks are monotone in total
-        tokens, so the whole batch reduces to array compares plus one
-        footprint probe per *distinct* total.  The offending request is
-        re-diagnosed object-wise so the message matches exactly.
+        request in order: the context threshold OR'd with the family's
+        capacity mask flags exactly the requests either check rejects,
+        and the first of them is re-diagnosed object-wise so the message
+        (and check precedence) match exactly.
         """
         if not requests:
             return None
         totals = np.fromiter((r.prompt_len + r.output_len
                               for r in requests),
                              dtype=np.int64, count=len(requests))
-        return self._totals_error(requests, totals)
-
-    def _totals_error(self, requests: list[Request],
-                      totals: np.ndarray) -> str | None:
-        bad = totals > self.config.max_seq_len
-        if not bad.any() and self.kv_capacity_bytes is not None:
-            over = [t for t in np.unique(totals).tolist()
-                    if self._footprint_of(t) > self.kv_capacity_bytes]
-            if over:
-                bad = np.isin(totals, over)
+        bad = (totals > self.config.max_seq_len) \
+            | self._capacity_mask(requests, totals)
         if bad.any():
             return self.admission_error(requests[int(bad.argmax())])
         return None
 
     def enqueue(self, request: Request) -> None:
-        """Append to the FCFS queue (rejects requests that can never fit)."""
+        """Queue one request (rejects requests that can never fit)."""
         error = self.admission_error(request)
         if error:
             raise ConfigError(error)
-        self.queue.append(request)
-        self.outstanding_tokens += request.total_tokens
-        self.mutations += 1
+        self._enqueue_validated(request)
 
     def enqueue_many(self, requests: list[Request]) -> None:
-        """Bulk :meth:`enqueue` — one vectorized validation pass, one
-        queue extend.  Equivalent to enqueueing one at a time."""
-        if not requests:
-            return
-        totals = np.fromiter((r.prompt_len + r.output_len
-                              for r in requests),
-                             dtype=np.int64, count=len(requests))
-        error = self._totals_error(requests, totals)
+        """Bulk :meth:`enqueue`: one vectorized validation pass, then
+        the usual per-request queue inserts."""
+        error = self.trace_error(requests)
         if error:
             raise ConfigError(error)
-        self.queue.extend(requests)
-        self.outstanding_tokens += int(totals.sum())
-        self.mutations += 1
+        for request in requests:
+            self._enqueue_validated(request)
 
-    def _admit_all(self, now: float) -> list[SequenceState]:
-        """Admit queue heads until slots or KV capacity run out.
-
-        ``reserved_bytes`` advances by one float addition per admission,
-        in queue order.
-        """
-        queue = self.queue
-        room = self.max_batch - len(self.running)
-        if not queue or room <= 0:
-            return []
-        capacity = self.kv_capacity_bytes
-        footprints = self._footprints
-        reserved = self.reserved_bytes
-        admitted = []
-        while queue and len(admitted) < room:
-            request = queue[0]
-            total = request.prompt_len + request.output_len
-            footprint = footprints.get(total)
-            if footprint is None:
-                footprint = self._footprint_of(total)
-            if capacity is not None and reserved + footprint > capacity:
-                break
-            queue.popleft()
-            reserved += footprint
-            admitted.append(SequenceState(request, now, request.prompt_len))
-        self.reserved_bytes = reserved
-        self.running.extend(admitted)
-        return admitted
-
+    # -- release --------------------------------------------------------
     def release(self, state: SequenceState) -> None:
-        """Free a finished sequence's batch slot and KV reservation."""
+        """Free a finished sequence's batch slot and KV."""
         self.running.remove(state)
-        self.reserved_bytes -= self._footprint(state.request)
+        self._free(state)
         self.outstanding_tokens -= \
             state.request.total_tokens - state.generated
-        if not self.running:
-            self.reserved_bytes = 0.0  # Clear accumulated float dust.
 
     def release_many(self, states: list[SequenceState]) -> None:
-        """Free a completion cohort in one pass over the running list.
-
-        Equivalent to calling :meth:`release` per state in order — the
-        ``reserved_bytes`` float subtractions and the surviving running
-        order are identical — but the list surgery is one rebuild
-        instead of ``len(states)`` O(batch) scans.  (``reserved_bytes``
-        can only dust-clear once the *last* cohort member leaves, so the
-        end-of-loop check matches the per-release one.)
-        """
-        if len(states) == 1:
-            self.release(states[0])
-            return
-        gone = {id(s) for s in states}
-        self.running = [s for s in self.running if id(s) not in gone]
-        footprints = self._footprints
-        reserved = self.reserved_bytes
-        owed = 0
+        """Free a completion cohort, one :meth:`release` per state in
+        cohort order (the order the paged free list, and so prefix
+        caching, sees)."""
         for state in states:
-            request = state.request
-            total = request.prompt_len + request.output_len
-            footprint = footprints.get(total)
-            if footprint is None:
-                footprint = self._footprint_of(total)
-            reserved -= footprint
-            owed += total - state.generated
-        self.reserved_bytes = reserved
-        self.outstanding_tokens -= owed
-        if not self.running:
-            self.reserved_bytes = 0.0  # Clear accumulated float dust.
+            self.release(state)
 
     def note_generated(self, tokens: int) -> None:
         """Engine hook: ``tokens`` were generated this step, shrinking
@@ -319,9 +239,6 @@ class Scheduler:
         self.outstanding_tokens -= tokens
 
     # -- policy ---------------------------------------------------------
-    def has_work(self) -> bool:
-        return bool(self.queue or self.running)
-
     def plan_step(self, now: float) -> StepPlan:
         """The active set for the step starting at ``now``."""
         raise NotImplementedError
@@ -355,11 +272,11 @@ class Scheduler:
         The scheduler shrinks the window to the next step at which its
         *own* state could change the plan.
 
-        Peak-reservation admission depends only on ``reserved_bytes``,
-        the running-slot count, and the static queue head — none of
-        which a pure-decode step changes — so a queue head blocked at
-        the anchor step stays blocked for the whole window: the engine
-        bound stands.
+        The default keeps the engine bound, which is exact for peak
+        reservation: admission depends only on ``reserved_bytes``, the
+        running-slot count, and the static queue head — none of which a
+        pure-decode step changes — so a queue head blocked at the anchor
+        step stays blocked for the whole window.
         """
         return max_steps
 
@@ -367,17 +284,16 @@ class Scheduler:
         """Advance KV accounting past ``steps`` leapt decode steps.
 
         Returns the per-step KV-utilization series the stepwise path
-        would have recorded — constant here, because peak reservations
-        only move at admission and release, neither of which happens
-        inside a leap.
+        would have recorded — constant by default, because peak
+        reservations only move at admission and release, neither of
+        which happens inside a leap.
         """
         return [self.kv_utilization()] * steps
 
-    def kv_utilization(self) -> float:
-        """Share of the KV budget held right now (0 when unbounded)."""
-        if self.kv_capacity_bytes is None:
-            return 0.0
-        return self.reserved_bytes / self.kv_capacity_bytes
+    def chunk_leap_window(self, task) -> int:
+        """How many further identical prefill chunks the engine may leap
+        after a lone chunk ``task`` (0 by default: no chunk leaps)."""
+        return 0
 
     def runtime_stats(self) -> dict:
         """Post-run counters folded into the :class:`ServingReport`."""
@@ -398,9 +314,108 @@ def split_kv_ready(admitted: list) -> tuple[list, list]:
 
 
 class ContinuousBatchScheduler(Scheduler):
-    """Iteration-level batching with prefill–decode interleaving."""
+    """Iteration-level batching with prefill–decode interleaving.
+
+    ``kv_capacity_bytes`` is the on-device KV budget that admissions
+    reserve their peak footprints from; ``None`` disables the check.
+    """
 
     name = "continuous"
+
+    def __init__(self, config: ModelConfig, max_batch: int = 16,
+                 kv_capacity_bytes: float | None = None, kvq_bits: int = 4):
+        super().__init__(config, max_batch, kvq_bits)
+        # Written so NaN fails too: a NaN budget never blocks admission
+        # and reports NaN utilization; None is the unbounded spelling.
+        if kv_capacity_bytes is not None and \
+                not 0 < kv_capacity_bytes < math.inf:
+            raise ConfigError("kv_capacity_bytes must be finite and "
+                              "positive")
+        self.kv_capacity_bytes = kv_capacity_bytes
+        self.queue: deque[Request] = deque()
+        self.reserved_bytes = 0.0
+        #: KV footprints are a pure function of total tokens; traces
+        #: draw lengths from a handful of distributions, so memoizing by
+        #: token count turns the per-request ``kv_cache_bytes`` call
+        #: into a dict hit.
+        self._footprints: dict[int, float] = {}
+
+    # -- KV accounting --------------------------------------------------
+    def _footprint_of(self, tokens: int) -> float:
+        """KV footprint of one sequence at ``tokens`` context."""
+        footprint = self._footprints.get(tokens)
+        if footprint is None:
+            footprint = self._footprints[tokens] = \
+                self.config.kv_cache_bytes(seq_len=tokens, batch=1,
+                                           bits=self.kvq_bits)
+        return footprint
+
+    def _capacity_error(self, request: Request) -> str | None:
+        footprint = self._footprint_of(request.total_tokens)
+        if self.kv_capacity_bytes is not None and \
+                footprint > self.kv_capacity_bytes:
+            return (f"request {request.req_id} needs {footprint:.3g} KV "
+                    f"bytes, over the {self.kv_capacity_bytes:.3g}-byte "
+                    f"capacity")
+        return None
+
+    def _capacity_mask(self, requests: list[Request], totals: np.ndarray):
+        """Footprints are monotone in total tokens, so one probe per
+        *distinct* total decides the whole batch."""
+        if self.kv_capacity_bytes is None:
+            return False
+        over = [t for t in np.unique(totals).tolist()
+                if self._footprint_of(t) > self.kv_capacity_bytes]
+        return np.isin(totals, over) if over else False
+
+    def _enqueue_validated(self, request: Request) -> None:
+        self.queue.append(request)
+        self.outstanding_tokens += request.total_tokens
+        self.mutations += 1
+
+    def _admit_all(self, now: float) -> list[SequenceState]:
+        """Admit queue heads until slots or KV capacity run out.
+
+        ``reserved_bytes`` advances by one float addition per admission,
+        in queue order.
+        """
+        queue = self.queue
+        room = self.max_batch - len(self.running)
+        if not queue or room <= 0:
+            return []
+        capacity = self.kv_capacity_bytes
+        footprints = self._footprints
+        reserved = self.reserved_bytes
+        admitted = []
+        while queue and len(admitted) < room:
+            request = queue[0]
+            total = request.prompt_len + request.output_len
+            footprint = footprints.get(total)
+            if footprint is None:
+                footprint = self._footprint_of(total)
+            if capacity is not None and reserved + footprint > capacity:
+                break
+            queue.popleft()
+            reserved += footprint
+            admitted.append(SequenceState(request, now, request.prompt_len))
+        self.reserved_bytes = reserved
+        self.running.extend(admitted)
+        return admitted
+
+    def _free(self, state: SequenceState) -> None:
+        self.reserved_bytes -= self._footprint_of(state.request.total_tokens)
+        if not self.running:
+            self.reserved_bytes = 0.0  # Clear accumulated float dust.
+
+    def kv_utilization(self) -> float:
+        """Share of the KV budget held right now (0 when unbounded)."""
+        if self.kv_capacity_bytes is None:
+            return 0.0
+        return self.reserved_bytes / self.kv_capacity_bytes
+
+    # -- policy ---------------------------------------------------------
+    def has_work(self) -> bool:
+        return bool(self.queue or self.running)
 
     def plan_step(self, now: float) -> StepPlan:
         # Decoders are the pre-admission running set (admissions only
@@ -412,7 +427,7 @@ class ContinuousBatchScheduler(Scheduler):
         return StepPlan(prefill=prefill, decode=decode)
 
 
-class StaticBatchScheduler(Scheduler):
+class StaticBatchScheduler(ContinuousBatchScheduler):
     """Admit a fresh batch only after the previous batch fully drains."""
 
     name = "static"
@@ -429,11 +444,6 @@ class StaticBatchScheduler(Scheduler):
         any non-empty running set makes arrivals inert — not just a
         full one."""
         return bool(self.running)
-
-
-#: Scheduler registry for string-based construction.
-SCHEDULERS = {cls.name: cls
-              for cls in (ContinuousBatchScheduler, StaticBatchScheduler)}
 
 
 def make_scheduler(policy: str, config: ModelConfig, **kwargs) -> Scheduler:

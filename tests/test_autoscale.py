@@ -418,12 +418,6 @@ class TestTenantPolicies:
         assert isinstance(scheduler.policy, FairSharePolicy)
         assert scheduler.policy.slos[0].weight == 4.0
 
-    def test_policy_instance_plus_slos_rejected(self):
-        from repro.serve import PagedScheduler
-        with pytest.raises(ConfigError, match="slos"):
-            PagedScheduler(TINY_GQA, max_batch=4,
-                           policy=FairSharePolicy(), slos=SLOS)
-
 
 class TestFleetLifecycle:
     def test_conservation_across_scale_events(self):

@@ -16,6 +16,7 @@ from repro.serve import (
     BlockManager,
     LengthSpec,
     PagedScheduler,
+    SCHEDULERS,
     PrefixSpec,
     Request,
     ServingEngine,
@@ -166,14 +167,15 @@ class TestPolicies:
         assert t_pre[6] <= t_prio[6]
         assert preemptive.completed == 7
 
-    def test_unknown_policy_string_rejected(self):
-        with pytest.raises(ConfigError, match="scheduling policy"):
-            PagedScheduler(TINY_GQA, policy="round-robin")
-
     def test_registry_exposes_paged_schedulers(self):
-        for name in ("paged", "paged-priority", "paged-preemptive"):
-            scheduler = make_scheduler(name, TINY_GQA)
-            assert scheduler.name == name
+        # Every name but "static" is a row of the committed
+        # paged_serving_policies.txt: a subclass that registers by
+        # accident must fail here, not only in the results diff.
+        assert sorted(SCHEDULERS) == [
+            "continuous", "paged", "paged-fair-share", "paged-preemptive",
+            "paged-priority", "paged-tenant-priority", "static"]
+        for name in SCHEDULERS:
+            assert make_scheduler(name, TINY_GQA).name == name
 
 
 class TestKVEdgeCases:

@@ -8,9 +8,9 @@ every list without completing, and one request's counters drifting past
 its lengths.
 
 Hypothesis drives random traces (ragged lengths, shared prefixes,
-priority mixes) through the *real* engine under every paged scheduler
-flavor plus the peak-reservation families, with tight KV budgets and
-batch sizes chosen to force admission churn, chunked prefill, and both
+priority mixes) through the *real* engine under every registered
+scheduler, paged and peak-reservation, with tight KV budgets and batch
+sizes chosen to force admission churn, chunked prefill, and both
 preemption modes.  After every engine step the scheduler's lists are
 audited against the previous step's and the completion records.
 """
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.arch import make_design
 from repro.llm import ModelConfig
 from repro.serve import (
+    SCHEDULERS,
     LengthSpec,
     PagedSequenceState,
     PrefixSpec,
@@ -95,9 +96,8 @@ class _AuditingEngine(ServingEngine):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_random_traces_track_every_state_exactly_once(data):
-    policy = data.draw(st.sampled_from(
-        ("continuous", "static", "paged", "paged-priority",
-         "paged-preemptive")), label="policy")
+    policy = data.draw(st.sampled_from(sorted(SCHEDULERS)),
+                       label="policy")
     seed = data.draw(st.integers(0, 2**20), label="seed")
     n = data.draw(st.integers(1, 12), label="n_requests")
     max_batch = data.draw(st.integers(1, 4), label="max_batch")

@@ -24,6 +24,7 @@ from repro.llm import (
     build_serving_step_ops,
 )
 from repro.serve import (
+    SCHEDULERS,
     LengthSpec,
     Request,
     ServingEngine,
@@ -322,6 +323,94 @@ class TestSchedulerInvariants:
         scheduler = make_scheduler("continuous", TINY_GQA)
         with pytest.raises(ConfigError):
             ServingEngine(tiny_design(), LLAMA2_70B_GQA, scheduler)
+
+
+#: KV budget of one 512-token sequence: under every family, a request
+#: over 512 total tokens can never fit it (32 blocks of 16 when paged).
+BUDGET_512 = TINY_GQA.kv_cache_bytes(seq_len=512, batch=1, bits=4)
+
+
+class TestSchedulerBase:
+    """Validation every family shares through :class:`Scheduler`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(policy=st.sampled_from(sorted(SCHEDULERS)),
+           bounded=st.booleans(),
+           shapes=st.lists(st.tuples(
+               # Fits, over the budget only, over the 2048-token
+               # context window, and the boundaries of both.
+               st.one_of(st.integers(2, 3200),
+                         st.sampled_from([512, 513, 2048, 2049])),
+               st.sampled_from([False, False, False, True])),
+               min_size=1, max_size=8))
+    def test_trace_error_names_the_first_unservable_request(
+            self, policy, bounded, shapes):
+        """``trace_error`` and ``enqueue_many`` report exactly what
+        per-request ``admission_error`` reports first, in trace order."""
+        requests = [Request(req_id=i, arrival_s=0.0, prompt_len=total // 2,
+                            output_len=total - total // 2, kv_ready=ready)
+                    for i, (total, ready) in enumerate(shapes)]
+
+        def scheduler():
+            return make_scheduler(
+                policy, TINY_GQA,
+                kv_capacity_bytes=BUDGET_512 if bounded else None)
+
+        probe = scheduler()
+        expected = next(filter(None, map(probe.admission_error, requests)),
+                        None)
+        assert probe.trace_error(requests) == expected
+        batch = scheduler()
+        if expected is None:
+            batch.enqueue_many(requests)
+            assert batch.outstanding_tokens == \
+                sum(r.total_tokens for r in requests)
+        else:
+            with pytest.raises(ConfigError) as raised:
+                batch.enqueue_many(requests)
+            assert str(raised.value) == expected
+            assert batch.outstanding_tokens == 0 and batch.mutations == 0
+
+    def test_release_many_frees_in_cohort_order(self):
+        """A cohort release is one release per state, in cohort order:
+        the paged free list, which decides the blocks later admissions
+        take, shows the order."""
+        def admitted():
+            scheduler = make_scheduler("paged", TINY_GQA, max_batch=4,
+                                       block_size=4)
+            for i in range(3):
+                scheduler.enqueue(Request(req_id=i, arrival_s=0.0,
+                                          prompt_len=8 + 4 * i,
+                                          output_len=4))
+            scheduler.plan_step(0.0)
+            return scheduler
+
+        cohort, one_by_one = admitted(), admitted()
+        cohort.release_many(cohort.running[:2])
+        for state in one_by_one.running[:2]:
+            one_by_one.release(state)
+        assert [s.request.req_id for s in cohort.running] == [2]
+        assert cohort.block_manager._free == one_by_one.block_manager._free
+        assert cohort.outstanding_tokens == one_by_one.outstanding_tokens
+
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_peak_capacity_must_be_finite(self, policy, value):
+        # A NaN budget never blocks admission and reports NaN
+        # utilization; an infinite one reads 0.  None means unbounded.
+        with pytest.raises(ConfigError, match="kv_capacity_bytes must be "
+                                              "finite and positive"):
+            make_scheduler(policy, TINY_GQA, kv_capacity_bytes=value)
+
+    @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("bits", [0, -4, 2.5])
+    def test_kvq_bits_must_be_a_positive_integer(self, policy, bits):
+        # Zero or negative widths zero every peak footprint (capacity
+        # never binds) and leave the paged pool zero-byte blocks.
+        with pytest.raises(ConfigError, match="kvq_bits must be a "
+                                              "positive integer"):
+            make_scheduler(policy, TINY_GQA, kvq_bits=bits,
+                           kv_capacity_bytes=BUDGET_512)
 
 
 class TestEngine:
