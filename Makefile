@@ -18,6 +18,12 @@ demos:
 	$(PY) examples/cluster_serving_demo.py
 	$(PY) examples/autoscaling_serving_demo.py
 	$(PY) examples/auto_config_demo.py
+	$(PY) examples/quickstart.py
+	$(PY) examples/accelerator_comparison.py
+	$(PY) examples/carbon_footprint.py
+	$(PY) examples/design_space_exploration.py
+	$(PY) examples/extensions_showcase.py
+	$(PY) examples/llm_accuracy.py
 
 # Compare fixed-seed serving benchmarks against BENCH_serving.json.
 bench-gate:

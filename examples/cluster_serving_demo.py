@@ -61,8 +61,8 @@ print("\n=== 4. One-call cluster construction ===")
 cluster = make_cluster(make_design("mugi", 256), MODEL, n_replicas=2,
                        policy="paged", router="prefix-affinity",
                        seq_len_bucket=32)
-trace = cluster_serving.make_cluster_trace(n_requests=60, rate_rps=2.0,
-                                           seed=1)
+trace = cluster_serving.cluster_trace_spec(n_requests=60, rate_rps=2.0,
+                                           seed=1).realize()
 report = cluster.run(trace)
 print(f"{report.design} via {report.router}: "
       f"completed={report.completed}, "

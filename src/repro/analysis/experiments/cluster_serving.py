@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...arch import make_design
 from ...errors import ConfigError
 from ...llm.config import ModelConfig
 from ...serve import (
@@ -34,8 +33,6 @@ from ...serve import (
     PrefixSpec,
     SweepPoint,
     TraceSpec,
-    make_cluster,
-    poisson_trace,
     run_sweep,
 )
 from . import registry
@@ -87,21 +84,13 @@ def peak_footprint_bytes(model: ModelConfig, kvq_bits: int = 4) -> float:
                                 bits=kvq_bits)
 
 
-def make_cluster_trace(n_requests: int, rate_rps: float,
-                       prefix: PrefixSpec | None = DEFAULT_PREFIX,
-                       seed: int = 0) -> list:
-    return poisson_trace(n_requests=n_requests, rate_rps=rate_rps,
-                         prompt=PROMPT_SPEC, output=OUTPUT_SPEC,
-                         prefix=prefix, seed=seed)
-
-
 def cluster_trace_spec(n_requests: int, rate_rps: float,
                        prefix: PrefixSpec | None = DEFAULT_PREFIX,
                        seed: int = 0,
                        output: LengthSpec = OUTPUT_SPEC) -> TraceSpec:
-    """The :func:`make_cluster_trace` workload as a declarative
-    :class:`repro.serve.TraceSpec` (bit-identical requests — the empty
-    spawn key reproduces the seeded generator exactly)."""
+    """The experiment's shared-prefix Poisson workload as a declarative
+    :class:`repro.serve.TraceSpec` (``.realize()`` builds the requests;
+    the empty spawn key reproduces the seeded generator exactly)."""
     return TraceSpec("poisson", n_requests=n_requests, rate_rps=rate_rps,
                      prompt=PROMPT_SPEC, output=output, prefix=prefix,
                      seed=seed)
@@ -147,31 +136,16 @@ class ClusterPoint:
             else report.goodput_rps(tpot_slo_s=tpot_slo_s))
 
 
-def _cluster(model: ModelConfig, n_replicas: int, router: str,
-             mode: str = "unified", max_batch: int = 24,
-             capacity_peaks: float = DEFAULT_CAPACITY_PEAKS,
-             block_size: int = 16, chunk_tokens: int = 768,
-             seq_len_bucket: int = 32, height: int = 256):
-    """One Mugi-per-replica cluster at the experiment's operating point.
+def _cluster_point(label: str, model: ModelConfig, n_replicas: int,
+                   router: str, trace: TraceSpec,
+                   mode: str = "unified") -> SweepPoint:
+    """One Mugi-per-replica cluster at the experiment's operating point,
+    as a declarative sweep grid cell.
 
     The per-replica chunk budget (768) exceeds the largest possible
     prompt (256 + 384), so every non-cached prefill is a single chunk —
     router comparisons measure caching and balance, not chunking.
     """
-    return make_cluster(
-        make_design("mugi", height), model, n_replicas, policy="paged",
-        router=router, mode=mode, max_batch=max_batch,
-        kv_capacity_bytes=capacity_peaks * peak_footprint_bytes(model),
-        scheduler_kwargs={"block_size": block_size,
-                          "chunk_tokens": chunk_tokens},
-        seq_len_bucket=seq_len_bucket)
-
-
-def _cluster_point(label: str, model: ModelConfig, n_replicas: int,
-                   router: str, trace: TraceSpec,
-                   mode: str = "unified") -> SweepPoint:
-    """:func:`_cluster`'s operating point as a declarative sweep grid
-    cell (same design, budgets, and scheduler knobs)."""
     return SweepPoint(
         label=label, design=("mugi", 256), model=model, trace=trace,
         policy="paged", router=router, mode=mode, n_replicas=n_replicas,

@@ -417,43 +417,16 @@ def build_prefill_ops(config: ModelConfig, batch: int, seq_len: int,
     """Operator list for a prefill pass over ``seq_len`` prompt tokens.
 
     Projections/FFN become large-m GEMMs (m = batch × seq_len); attention
-    is quadratic in ``seq_len``.
+    is quadratic in ``seq_len``.  It is the serving step's layer lowering
+    with ``batch`` whole-prompt ``(0, seq_len)`` chunks, no decoders and
+    no LM head.
     """
     if batch < 1 or seq_len < 1:
         raise ConfigError("batch and seq_len must be positive")
-    ops: list = []
-    h = config.hidden_dim
-    d = config.head_dim
-    tokens = batch * seq_len
-
-    for _ in range(config.n_layers):
-        ops.append(GemmOp(m=tokens, k=h, n=h + 2 * config.kv_dim,
-                          kind="projection", weight_bits=woq_bits))
-        ops.append(GemmOp(m=seq_len * config.gqa_group, k=d, n=seq_len,
-                          kind="attention_qk", weight_bits=kvq_bits,
-                          count=batch * config.n_kv_heads,
-                          weights_resident=True))
-        ops.append(NonlinearOp(
-            op="softmax",
-            elements=batch * config.n_heads * seq_len * seq_len,
-            rows=batch * config.n_heads * seq_len))
-        ops.append(GemmOp(m=seq_len * config.gqa_group, k=seq_len, n=d,
-                          kind="attention_pv", weight_bits=kvq_bits,
-                          count=batch * config.n_kv_heads,
-                          weights_resident=True))
-        ops.append(GemmOp(m=tokens, k=h, n=h, kind="projection",
-                          weight_bits=woq_bits))
-        if config.gated_ffn:
-            ops.append(GemmOp(m=tokens, k=h, n=config.ffn_dim, kind="ffn",
-                              weight_bits=woq_bits, count=2))
-        else:
-            ops.append(GemmOp(m=tokens, k=h, n=config.ffn_dim, kind="ffn",
-                              weight_bits=woq_bits))
-        ops.append(NonlinearOp(op=config.activation,
-                               elements=tokens * config.ffn_dim))
-        ops.append(GemmOp(m=tokens, k=config.ffn_dim, n=h, kind="ffn",
-                          weight_bits=woq_bits))
-    return ops
+    layer = _step_layer_ops(config, batch * seq_len, [],
+                            [(0, seq_len)] * batch, woq_bits=woq_bits,
+                            kvq_bits=kvq_bits, include_aux_ops=False)
+    return [op for _ in range(config.n_layers) for op in layer]
 
 
 class StepCostSurface:

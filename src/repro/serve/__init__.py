@@ -5,7 +5,8 @@ A discrete-event layer above the architecture simulator: request traces
 :class:`Scheduler` base, either peak reservation (:mod:`.scheduler`:
 ``continuous``, ``static``) or the paged block-granular stack
 (:mod:`.policy` over :mod:`.kv_cache`: prefix caching, chunked prefill,
-recompute/swap preemption), all registered in :data:`SCHEDULERS` — and
+recompute/swap preemption; each paged class holds its own ordering
+rules), all registered in :data:`SCHEDULERS` — and
 a step loop (:mod:`.engine`) that lowers each step's ragged active set
 to operator graphs and prices them on any Table 2 design or NoC system;
 :mod:`.metrics` aggregates TTFT/TPOT/latency/queue-delay percentiles,
@@ -69,17 +70,12 @@ from .router import (
 )
 from .policy import (
     ChunkTask,
-    FairSharePolicy,
     PagedFairShareScheduler,
     PagedPreemptiveScheduler,
     PagedPriorityScheduler,
     PagedScheduler,
     PagedSequenceState,
     PagedTenantPriorityScheduler,
-    PreemptivePriorityPolicy,
-    PriorityPolicy,
-    SchedulingPolicy,
-    TenantPriorityPolicy,
     TenantSLO,
     tenant_slo_map,
 )
@@ -128,7 +124,6 @@ __all__ = [
     "ClusterReport",
     "ColdStartConfig",
     "ContinuousBatchScheduler",
-    "FairSharePolicy",
     "FleetReport",
     "FleetSnapshot",
     "LeastOutstandingRouter",
@@ -141,10 +136,8 @@ __all__ = [
     "PagedTenantPriorityScheduler",
     "PowerOfTwoRouter",
     "PredictiveAutoscaler",
-    "PreemptivePriorityPolicy",
     "PrefixAffinityRouter",
     "PrefixSpec",
-    "PriorityPolicy",
     "ReactiveAutoscaler",
     "Replica",
     "Request",
@@ -152,7 +145,6 @@ __all__ = [
     "Router",
     "RoundRobinRouter",
     "Scheduler",
-    "SchedulingPolicy",
     "SequenceState",
     "ServingCluster",
     "ServingEngine",
@@ -165,7 +157,6 @@ __all__ = [
     "SweepOutcome",
     "SweepPoint",
     "SweepReport",
-    "TenantPriorityPolicy",
     "TenantSLO",
     "TenantSpec",
     "TraceSpec",

@@ -38,8 +38,9 @@ tie-breaks are by replica index and any router randomness is seeded,
 so cluster runs are deterministic functions of ``(trace, routers,
 replica construction)``.
 
-Requests are re-instantiated per replica (`dataclasses.replace`), so
-replicas fed from the same trace can never alias per-request state.
+A replica takes the trace's own :class:`Request` objects: requests are
+frozen, and per-request serving state lives in each scheduler's own
+sequence states.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def build_engine(design, config, policy: str, max_batch: int,
     scheduler = make_scheduler(policy, config, max_batch=max_batch,
                                kv_capacity_bytes=kv_capacity_bytes,
                                kvq_bits=kvq_bits, **scheduler_kwargs)
-    return ServingEngine(design, config, scheduler, kvq_bits=kvq_bits,
+    return ServingEngine(design, config, scheduler,
                          seq_len_bucket=seq_len_bucket, **engine_kwargs)
 
 
@@ -410,11 +411,11 @@ class ServingCluster:
 
     # -- event handlers --------------------------------------------------
     def _admit(self, request: Request) -> Request:
-        """The request a replica takes for one trace arrival: a fresh
-        copy, or in disaggregated mode its one-token prefill half (the
-        origin is kept for the decode half)."""
+        """The request a replica takes for one trace arrival: the
+        request itself, or in disaggregated mode its one-token prefill
+        half (the origin is kept for the decode half)."""
         if self.mode != "disaggregated":
-            return replace(request)
+            return request
         self._origins[request.req_id] = request
         return replace(request, output_len=1)
 
@@ -487,7 +488,7 @@ class ServingCluster:
                 # One link hop of the context's KV bytes.
                 moved = self.config.kv_cache_bytes(
                     seq_len=origin.prompt_len + 1, batch=1,
-                    bits=rep.engine.kvq_bits)
+                    bits=rep.engine.scheduler.kvq_bits)
                 seconds = moved / self.interconnect.link_bandwidth_bytes \
                     + self.interconnect.link_latency_s
                 self._n_migrations += 1

@@ -83,10 +83,9 @@ class ServingEngine:
         The served Table 1 model.
     scheduler:
         A :class:`repro.serve.scheduler.Scheduler` bound to ``config``.
-    woq_bits / kvq_bits:
-        Weight-only and KV-cache quantization widths.
-    include_lm_head:
-        Price the vocabulary projection each step.
+        Steps price its KV at the scheduler's own ``kvq_bits``, the
+        width its admission reserves, with INT4 weight-only quantized
+        weights and the vocabulary projection included.
     seq_len_bucket:
         Round context/prompt lengths up to this multiple *for costing
         only* (KV accounting stays exact).  1 keeps costs exact; larger
@@ -99,9 +98,7 @@ class ServingEngine:
     """
 
     def __init__(self, design, config: ModelConfig, scheduler: Scheduler,
-                 woq_bits: int = 4, kvq_bits: int = 4,
-                 include_lm_head: bool = True, seq_len_bucket: int = 1,
-                 leap: bool = True):
+                 seq_len_bucket: int = 1, leap: bool = True):
         if seq_len_bucket < 1:
             raise ConfigError("seq_len_bucket must be >= 1")
         if scheduler.config != config:
@@ -118,14 +115,12 @@ class ServingEngine:
         self.design = design
         self.config = config
         self.scheduler = scheduler
-        self.woq_bits = woq_bits
-        self.kvq_bits = kvq_bits
-        self.include_lm_head = include_lm_head
         self.seq_len_bucket = seq_len_bucket
         self.leap = leap
         self.tech = getattr(design, "tech", TECH_45NM)
-        store = step_cost_store(design, config, woq_bits, kvq_bits,
-                                include_lm_head, tech=self.tech)
+        store = step_cost_store(design, config, woq_bits=4,
+                                kvq_bits=scheduler.kvq_bits,
+                                include_lm_head=True, tech=self.tech)
         #: Shared across every engine on this (design, config, bits)
         #: combination — cluster replicas price each signature once.
         self._step_cache = store.cache
@@ -219,9 +214,6 @@ class ServingEngine:
 
     def submit(self, request: Request) -> None:
         """Hand one request to the scheduler (external-clock ingest)."""
-        error = self.scheduler.admission_error(request)
-        if error:
-            raise ConfigError(f"unservable request: {error}")
         self.scheduler.enqueue(request)
 
     def has_work(self) -> bool:
@@ -613,6 +605,6 @@ def simulate_trace(design, config: ModelConfig, trace: list[Request],
                                kv_capacity_bytes=kv_capacity_bytes,
                                kvq_bits=kvq_bits,
                                **(scheduler_kwargs or {}))
-    engine = ServingEngine(design, config, scheduler, kvq_bits=kvq_bits,
+    engine = ServingEngine(design, config, scheduler,
                            seq_len_bucket=seq_len_bucket, **engine_kwargs)
     return engine.run(trace)

@@ -1,4 +1,4 @@
-"""Pluggable scheduling policies over the paged KV-cache block manager.
+"""Paged schedulers over the KV-cache block manager, one class per policy.
 
 The PR 1 schedulers (:mod:`.scheduler`) reserve a request's *peak* KV
 footprint at admission and never preempt — safe, but badly
@@ -14,10 +14,11 @@ vLLM/Orca-style block-granular scheduling:
   a victim — recompute-style (drop its blocks, re-prefill later; the
   prefix cache usually makes the re-prefill cheap) or swap-style (move
   its KV over the host link and restore it when space frees);
-* five policies share this admission interface: strict **FCFS** (the
-  base :class:`SchedulingPolicy`), **priority** ordering, **preemptive
-  priority** (a high-priority arrival may evict a low-priority running
-  sequence immediately), weighted **fair share** and **tenant priority**.
+* five schedulers share this admission interface and differ only in
+  ordering: strict **FCFS** (the base :class:`PagedScheduler`),
+  **priority** ordering, **preemptive priority** (a high-priority
+  arrival may evict a low-priority running sequence immediately),
+  weighted **fair share** and **tenant priority**.
 
 Every paged scheduler subclasses :class:`repro.serve.Scheduler`, the
 engine protocol; chunk work rides in :attr:`repro.serve.StepPlan.chunks`.
@@ -68,7 +69,7 @@ class PagedSequenceState(SequenceState):
         self.cached_tokens = cached_tokens
         self.preemptions = preemptions
         self.swapped_tokens = swapped_tokens
-        #: The policy's queue key, computed once at enqueue (keys are
+        #: The scheduler's queue key, computed once at enqueue (keys are
         #: stable while a sequence lives, and the waiting-queue inserts
         #: and running-set sorts are hot enough that re-deriving tuples
         #: dominated planning).
@@ -99,8 +100,8 @@ class TenantSLO:
     (:meth:`repro.serve.metrics.RecordStats.good_completions` judges a
     tenant's completions against its own spec, boundary-inclusive);
     ``weight`` is the fair-share admission weight
-    (:class:`FairSharePolicy`); ``priority`` the tenant rank
-    (:class:`TenantPriorityPolicy`).  ``None`` SLO fields mean
+    (:class:`PagedFairShareScheduler`); ``priority`` the tenant rank
+    (:class:`PagedTenantPriorityScheduler`).  ``None`` SLO fields mean
     unconstrained.
     """
 
@@ -135,137 +136,6 @@ def tenant_slo_map(slos) -> dict:
     return mapping
 
 
-class SchedulingPolicy:
-    """Ordering rules shared by every paged scheduler.
-
-    ``queue_key`` sorts waiting (and running) sequences — lowest first
-    is served first; ``victim_key`` picks preemption victims — the
-    *maximum* is evicted; ``outranks`` gates preemptive admission.
-
-    ``queue_key`` is computed once at enqueue and sorted by the cached
-    tuple from then on, so it must be stable for the sequence's
-    lifetime — either a pure function of immutable request fields (the
-    classic policies) or policy-internal state advanced only at
-    enqueue (the fair-share virtual clocks).  Stateful policies must
-    not be shared between schedulers: every replica owns its instance.
-
-    ``slos`` hands every policy the tenant terms
-    (:func:`tenant_slo_map` applied); the tenant-agnostic policies
-    simply ignore them.
-    """
-
-    preemptive_admission = False
-
-    def __init__(self, slos=()):
-        #: Tenant id → :class:`TenantSLO` (empty when single-tenant).
-        self.slos = tenant_slo_map(slos)
-
-    def queue_key(self, state: PagedSequenceState) -> tuple:
-        return (state.request.arrival_s, state.request.req_id)
-
-    def victim_key(self, state: PagedSequenceState) -> tuple:
-        # Latest-admitted first (LIFO), the vLLM recompute default: the
-        # youngest sequence has the least KV to rebuild.
-        return (state.admitted_s or 0.0, state.request.req_id)
-
-    def outranks(self, state: PagedSequenceState,
-                 victim: PagedSequenceState) -> bool:
-        return False
-
-
-class PriorityPolicy(SchedulingPolicy):
-    """Order by :attr:`Request.priority` (higher first), then arrival."""
-
-    def queue_key(self, state: PagedSequenceState) -> tuple:
-        request = state.request
-        return (-request.priority, request.arrival_s, request.req_id)
-
-    def victim_key(self, state: PagedSequenceState) -> tuple:
-        return (-state.request.priority, state.admitted_s or 0.0,
-                state.request.req_id)
-
-    def outranks(self, state: PagedSequenceState,
-                 victim: PagedSequenceState) -> bool:
-        return state.request.priority > victim.request.priority
-
-
-class PreemptivePriorityPolicy(PriorityPolicy):
-    """Priority ordering where a blocked high-priority arrival may evict
-    a lower-priority running sequence instead of queueing behind it."""
-
-    preemptive_admission = True
-
-
-class FairSharePolicy(SchedulingPolicy):
-    """Weighted fair queuing across tenants (start-time fair queuing).
-
-    Each tenant owns a virtual-time tag advancing by ``total_tokens /
-    weight`` per enqueued request; a request's queue key is its
-    tenant's tag at enqueue, floored at the fleet-wide minimum tag so a
-    tenant idle for a while re-enters at the current service level
-    instead of cashing unbounded saved credit in one burst.  A heavy
-    tenant's requests sort progressively later while light tenants keep
-    short queues — token-weighted max-min shares in expectation, the
-    classic SFQ approximation.
-
-    Tags are per-instance mutable state (advanced exactly once per
-    request, at enqueue), so replicas must not share an instance —
-    :class:`PagedScheduler` builds one per scheduler from its
-    ``policy_cls`` and ``slos``.
-    """
-
-    def __init__(self, slos=(), default_weight: float = 1.0):
-        super().__init__(slos)
-        if not 0 < default_weight < math.inf:
-            raise ConfigError("default_weight must be finite and positive")
-        self.default_weight = default_weight
-        self._tags: dict[int, float] = {}
-
-    def _weight(self, request: Request) -> float:
-        slo = self.slos.get(request.tenant)
-        return self.default_weight if slo is None else slo.weight
-
-    def queue_key(self, state: PagedSequenceState) -> tuple:
-        request = state.request
-        floor = min(self._tags.values(), default=0.0)
-        start = max(self._tags.get(request.tenant, 0.0), floor)
-        self._tags[request.tenant] = \
-            start + request.total_tokens / self._weight(request)
-        return (start, request.arrival_s, request.req_id)
-
-    def victim_key(self, state: PagedSequenceState) -> tuple:
-        # Evict the lightest-share tenant's youngest sequence first.
-        return (-self._weight(state.request), state.admitted_s or 0.0,
-                state.request.req_id)
-
-
-class TenantPriorityPolicy(PriorityPolicy):
-    """Tenant rank first (:attr:`TenantSLO.priority`, higher served
-    first), then the request-level priority ordering within a rank."""
-
-    def _rank(self, request: Request) -> int:
-        slo = self.slos.get(request.tenant)
-        return 0 if slo is None else slo.priority
-
-    def queue_key(self, state: PagedSequenceState) -> tuple:
-        request = state.request
-        return (-self._rank(request), -request.priority,
-                request.arrival_s, request.req_id)
-
-    def victim_key(self, state: PagedSequenceState) -> tuple:
-        request = state.request
-        return (-self._rank(request), -request.priority,
-                state.admitted_s or 0.0, request.req_id)
-
-    def outranks(self, state: PagedSequenceState,
-                 victim: PagedSequenceState) -> bool:
-        mine, theirs = self._rank(state.request), \
-            self._rank(victim.request)
-        if mine != theirs:
-            return mine > theirs
-        return state.request.priority > victim.request.priority
-
-
 def _first_crossings(manager: BlockManager, decode: list) -> list:
     """Sorted first leapt steps at which each decoder opens a block: one
     holding ``t`` KV tokens opens a block at step ``(-t) % size + 1``
@@ -280,7 +150,15 @@ class PagedScheduler(Scheduler):
 
     Drives a :class:`repro.serve.kv_cache.BlockManager`: admission
     reserves only the first chunk's blocks, decode allocates per token,
-    and allocation failure preempts per the policy.
+    and allocation failure preempts a victim.
+
+    Ordering rules are methods (strict FCFS here; each registered
+    subclass overrides its own): :meth:`queue_key` sorts waiting and
+    running sequences, lowest first; :meth:`victim_key` picks the
+    preemption victim, the maximum; :meth:`outranks` gates preemptive
+    admission when :attr:`preemptive_admission` is set.  A queue key is
+    computed once at enqueue, so it must stay stable while the sequence
+    lives.
 
     Parameters
     ----------
@@ -306,16 +184,16 @@ class PagedScheduler(Scheduler):
     host_link_bytes_s:
         Host link bandwidth charged for swap traffic.
     slos:
-        :class:`TenantSLO` specs handed to the class's
-        :attr:`policy_cls`, which every scheduler builds afresh (a
-        stateful policy is never shared between replicas).
+        :class:`TenantSLO` specs the tenant-aware orderings read (the
+        others ignore them).
     block_manager:
         Pre-built pool (e.g. :meth:`BlockManager.for_design` for a
         sharded deployment); overrides ``kv_capacity_bytes``.
     """
 
     name = "paged"
-    policy_cls = SchedulingPolicy
+    #: Whether a blocked queue head may evict a sequence it outranks.
+    preemptive_admission = False
     #: Block tables only materialize through local chunk compute, so a
     #: migrated-in KV cache (:attr:`Request.kv_ready`) cannot be
     #: represented; the cluster's disaggregated decode replicas must use
@@ -346,7 +224,8 @@ class PagedScheduler(Scheduler):
         self.preemption = preemption
         self.host_link_bytes_s = host_link_bytes_s
         self.admit_headroom = admit_headroom
-        self.policy = self.policy_cls(slos=tuple(slos))
+        #: Tenant id → :class:`TenantSLO` (empty when single-tenant).
+        self.slos = tenant_slo_map(slos)
         if block_manager is not None:
             self.block_manager = block_manager
         else:
@@ -367,6 +246,19 @@ class PagedScheduler(Scheduler):
         #: same-step readmission guard expires next step), so the leap
         #: must not extrapolate past such a plan.
         self._preempted_in_last_plan = False
+
+    # -- ordering rules --------------------------------------------------
+    def queue_key(self, state: PagedSequenceState) -> tuple:
+        return (state.request.arrival_s, state.request.req_id)
+
+    def victim_key(self, state: PagedSequenceState) -> tuple:
+        # Latest-admitted first (LIFO), the vLLM recompute default: the
+        # youngest sequence has the least KV to rebuild.
+        return (state.admitted_s or 0.0, state.request.req_id)
+
+    def outranks(self, state: PagedSequenceState,
+                 victim: PagedSequenceState) -> bool:
+        return False
 
     # -- engine protocol: capacity views ---------------------------------
     @property
@@ -416,7 +308,7 @@ class PagedScheduler(Scheduler):
         state = PagedSequenceState(
             request=request, admitted_s=None,
             prefill_target=request.prompt_len)
-        state.queue_sort_key = self.policy.queue_key(state)
+        state.queue_sort_key = self.queue_key(state)
         insort(self.waiting, state, key=_QUEUE_KEY)
         self.outstanding_tokens += request.total_tokens
         self.mutations += 1
@@ -582,7 +474,7 @@ class PagedScheduler(Scheduler):
         candidates = [s for s in self.running if id(s) not in exclude_ids]
         if not candidates:
             return None
-        return max(candidates, key=self.policy.victim_key)
+        return max(candidates, key=self.victim_key)
 
     def _preempt(self, state: PagedSequenceState, plan: StepPlan,
                  requeue: list) -> None:
@@ -752,10 +644,10 @@ class PagedScheduler(Scheduler):
                 take = 0
             if take <= 0:
                 victim = None
-                if self.policy.preemptive_admission:
+                if self.preemptive_admission:
                     candidate = self._pick_victim(committed)
                     if candidate is not None and \
-                            self.policy.outranks(state, candidate):
+                            self.outranks(state, candidate):
                         victim = candidate
                 if victim is None:
                     break
@@ -780,31 +672,93 @@ class PagedScheduler(Scheduler):
 
 
 class PagedPriorityScheduler(PagedScheduler):
-    """Paged scheduling ordered by request priority."""
+    """Paged scheduling by request priority (higher first), then arrival."""
 
     name = "paged-priority"
-    policy_cls = PriorityPolicy
+
+    def queue_key(self, state: PagedSequenceState) -> tuple:
+        request = state.request
+        return (-request.priority, request.arrival_s, request.req_id)
+
+    def victim_key(self, state: PagedSequenceState) -> tuple:
+        return (-state.request.priority, state.admitted_s or 0.0,
+                state.request.req_id)
+
+    def outranks(self, state: PagedSequenceState,
+                 victim: PagedSequenceState) -> bool:
+        return state.request.priority > victim.request.priority
 
 
-class PagedPreemptiveScheduler(PagedScheduler):
+class PagedPreemptiveScheduler(PagedPriorityScheduler):
     """Priority scheduling that evicts lower-priority running sequences
     when a blocked higher-priority request waits."""
 
     name = "paged-preemptive"
-    policy_cls = PreemptivePriorityPolicy
+    preemptive_admission = True
 
 
 class PagedFairShareScheduler(PagedScheduler):
-    """Paged scheduling under SFQ weighted fair sharing across tenants
-    (pass per-tenant weights via ``slos``)."""
+    """Weighted fair queuing across tenants (start-time fair queuing).
+
+    Each tenant owns a virtual-time tag advancing by ``total_tokens /
+    weight`` per enqueued request, its :class:`TenantSLO` weight (1.0
+    for a tenant without one); a request's queue key is its tenant's
+    tag at enqueue, floored at the fleet-wide minimum tag so a tenant
+    idle for a while re-enters at the current service level instead of
+    cashing unbounded saved credit in one burst.  A heavy tenant's
+    requests sort progressively later while light tenants keep short
+    queues — token-weighted max-min shares in expectation, the classic
+    SFQ approximation.
+    """
 
     name = "paged-fair-share"
-    policy_cls = FairSharePolicy
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._tags: dict[int, float] = {}
+
+    def _weight(self, request: Request) -> float:
+        slo = self.slos.get(request.tenant)
+        return 1.0 if slo is None else slo.weight
+
+    def queue_key(self, state: PagedSequenceState) -> tuple:
+        request = state.request
+        floor = min(self._tags.values(), default=0.0)
+        start = max(self._tags.get(request.tenant, 0.0), floor)
+        self._tags[request.tenant] = \
+            start + request.total_tokens / self._weight(request)
+        return (start, request.arrival_s, request.req_id)
+
+    def victim_key(self, state: PagedSequenceState) -> tuple:
+        # Evict the lightest-share tenant's youngest sequence first.
+        return (-self._weight(state.request), state.admitted_s or 0.0,
+                state.request.req_id)
 
 
-class PagedTenantPriorityScheduler(PagedScheduler):
-    """Paged scheduling ranked by per-tenant SLO priority, request
-    priority breaking ties within a tenant class."""
+class PagedTenantPriorityScheduler(PagedPriorityScheduler):
+    """Tenant rank first (:attr:`TenantSLO.priority`, higher served
+    first), then the request-level priority ordering within a rank."""
 
     name = "paged-tenant-priority"
-    policy_cls = TenantPriorityPolicy
+
+    def _rank(self, request: Request) -> int:
+        slo = self.slos.get(request.tenant)
+        return 0 if slo is None else slo.priority
+
+    def queue_key(self, state: PagedSequenceState) -> tuple:
+        request = state.request
+        return (-self._rank(request), -request.priority,
+                request.arrival_s, request.req_id)
+
+    def victim_key(self, state: PagedSequenceState) -> tuple:
+        request = state.request
+        return (-self._rank(request), -request.priority,
+                state.admitted_s or 0.0, request.req_id)
+
+    def outranks(self, state: PagedSequenceState,
+                 victim: PagedSequenceState) -> bool:
+        mine, theirs = self._rank(state.request), \
+            self._rank(victim.request)
+        if mine != theirs:
+            return mine > theirs
+        return state.request.priority > victim.request.priority

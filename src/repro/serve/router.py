@@ -76,9 +76,7 @@ class Router:
         Decisions are identical to calling :meth:`select` once per
         request in order, with each commit applied before the next
         select — load-aware policies see every earlier cohort member
-        exactly as the one-at-a-time path does.  A subclass may override
-        this to batch the state-independent part of its decision (the
-        round-robin index stream); the commit sequencing is preserved.
+        exactly as the one-at-a-time path does.
         """
         routed = 0
         for request in requests:
@@ -104,21 +102,6 @@ class RoundRobinRouter(Router):
         choice = replicas[self._next % len(replicas)]
         self._next += 1
         return choice
-
-    def select_batch(self, requests, replicas: list, commit) -> int:
-        """Whole-cohort rotation: decisions are state-independent, so
-        the index stream is materialized up front and only the commits
-        stay sequential."""
-        n = len(replicas)
-        routed = 0
-        for request, offset in zip(requests,
-                                   range(self._next, self._next
-                                         + len(requests))):
-            routed += 1
-            if not commit(request, replicas[offset % n]):
-                break
-        self._next += routed
-        return routed
 
 
 class LeastOutstandingRouter(Router):

@@ -206,7 +206,7 @@ class Scheduler:
         """Queue one request (rejects requests that can never fit)."""
         error = self.admission_error(request)
         if error:
-            raise ConfigError(error)
+            raise ConfigError(f"unservable request: {error}")
         self._enqueue_validated(request)
 
     def enqueue_many(self, requests: list[Request]) -> None:

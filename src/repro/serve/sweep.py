@@ -42,8 +42,9 @@ strategies — :class:`SweepExecutor` amortizes the fixed costs one-shot
 * a **worker-side trace-column cache** — an LRU keyed by the
   :class:`TraceSpec` itself (prefix-shrunk rung specs key separately),
   holding the generated numpy columns so co-workload points pay RNG
-  generation once per process and only re-materialize fresh
-  ``Request`` objects per run (preserving the no-aliasing invariant);
+  generation once per process and only re-materialize ``Request``
+  objects per run (columns cost ~56 bytes a request, objects several
+  hundred);
 * **cross-run outcome memoization** — canonically-keyed (label
   stripped) ``(SweepPoint, TraceSpec)`` → :class:`SweepOutcome`, so a
   grid-vs-halving comparison or a re-scored candidate returns the
@@ -380,10 +381,10 @@ class _TraceColumnCache:
 
     The executor's worker-side cache: a rung of N co-workload points
     pays RNG generation once per process, and every later realization
-    rebuilds fresh ``Request`` objects from the cached columns
-    (:func:`repro.serve.trace.requests_from_columns`), never aliasing a
-    previous run's instances.  Prefix-shrunk rung specs differ from the
-    full workload's spec, so they key (and cache) separately.
+    rebuilds ``Request`` objects from the cached columns
+    (:func:`repro.serve.trace.requests_from_columns`), which take a
+    fraction of the objects' memory.  Prefix-shrunk rung specs differ
+    from the full workload's spec, so they key (and cache) separately.
 
     Evicts least-recently-used entries when either budget — entry count
     or total cached rows — is exceeded; a single trace larger than the
@@ -683,7 +684,7 @@ class SweepExecutor:
       priced :class:`~repro.llm.workload.StepCostSurface` tables, and
       trace-column caches all survive between calls.  The parent's
       warm cost tables ship once, at pool creation, via the pool
-      initializer (``warm_start``);
+      initializer;
     * with ``memoize`` (the default), outcomes are **memoized across
       runs** under the canonical ``(SweepPoint sans label)`` key in a
       size-capped LRU: a later run (or a duplicate within one run)
@@ -702,15 +703,13 @@ class SweepExecutor:
     down deterministically; a closed executor refuses further runs.
     """
 
-    def __init__(self, jobs: int = 1, warm_start: bool = True,
-                 memoize: bool = True,
+    def __init__(self, jobs: int = 1, memoize: bool = True,
                  memo_entries: int = DEFAULT_MEMO_ENTRIES):
         if jobs < 1:
             raise ConfigError("jobs must be positive")
         if memo_entries < 1:
             raise ConfigError("memo_entries must be positive")
         self.jobs = jobs
-        self.warm_start = warm_start
         self.memoize = memoize
         self.memo_entries = memo_entries
         self.memo_hits = 0
@@ -743,14 +742,10 @@ class SweepExecutor:
         every worker that exists."""
         if self._pool is None:
             context = mp.get_context("spawn")
-            initializer, initargs = None, ()
-            if self.warm_start:
-                warm = _warm_payload(points)
-                if warm:
-                    initializer, initargs = _install_warm, (warm,)
             self._pool = context.Pool(
                 processes=min(self.jobs, max(len(points), 1)),
-                initializer=initializer, initargs=initargs)
+                initializer=_install_warm,
+                initargs=(_warm_payload(points),))
         return self._pool
 
     # -- execution ----------------------------------------------------
@@ -836,8 +831,7 @@ class SweepExecutor:
                 "jobs": self.jobs}
 
 
-def run_sweep(points, jobs: int = 1,
-              warm_start: bool = True) -> SweepReport:
+def run_sweep(points, jobs: int = 1) -> SweepReport:
     """Execute every point once; return outcomes in input order.
 
     A thin wrapper over a throwaway :class:`SweepExecutor` with
@@ -851,8 +845,7 @@ def run_sweep(points, jobs: int = 1,
     unavailable or unsafe with threads.  Repeated identical points
     (e.g. benchmark timing runs) always really re-run.
 
-    With ``warm_start`` (the default), a parent that has already
-    priced this sweep's designs ships its
+    A parent that has already priced this sweep's designs ships its
     :class:`~repro.llm.workload.StepCostSurface` component tables to
     each worker once at pool start, so workers skip the cold
     op-cost-model rebuild; the shipped tables are the exact values the
@@ -867,8 +860,7 @@ def run_sweep(points, jobs: int = 1,
     """
     if jobs < 1:
         raise ConfigError("jobs must be positive")
-    with SweepExecutor(jobs=jobs, warm_start=warm_start,
-                       memoize=False) as executor:
+    with SweepExecutor(jobs=jobs, memoize=False) as executor:
         return executor.run(points)
 
 

@@ -519,9 +519,7 @@ def trace_columns(requests: list[Request]) -> tuple:
 
     The sweep executor's worker-side trace cache stores these instead
     of the ``Request`` objects themselves: columns are ~56 bytes per
-    request (objects are several hundred) and rebuilding fresh
-    instances per run preserves the no-aliasing invariant the cluster
-    layer relies on.
+    request, where the objects are several hundred.
     """
     n = len(requests)
     columns = (

@@ -30,7 +30,6 @@ from repro.serve import (
     AUTOSCALERS,
     ColdStartConfig,
     DEFAULT_COLD_START,
-    FairSharePolicy,
     FleetReport,
     FleetSnapshot,
     LengthSpec,
@@ -40,7 +39,6 @@ from repro.serve import (
     ServingEngine,
     StaticAutoscaler,
     SweepPoint,
-    TenantPriorityPolicy,
     TenantSLO,
     TenantSpec,
     TraceSpec,
@@ -362,9 +360,6 @@ class TestTenantPolicies:
         # sorted waiting queue loses its total order.
         with pytest.raises(ConfigError, match="weight must be finite"):
             TenantSLO(tenant=0, weight=value)
-        with pytest.raises(ConfigError, match="default_weight must be "
-                                              "finite"):
-            FairSharePolicy(default_weight=value)
 
     @pytest.mark.parametrize("name", ["ttft_slo_s", "tpot_slo_s"])
     def test_nan_slo_rejected(self, name):
@@ -373,50 +368,51 @@ class TestTenantPolicies:
             TenantSLO(tenant=0, **{name: math.nan})
 
     def test_fair_share_tags_advance_inversely_to_weight(self):
-        policy = FairSharePolicy(slos=SLOS)
+        scheduler = make_scheduler("paged-fair-share", TINY_GQA, slos=SLOS)
         # Same token totals, tenant 0 at weight 4 vs tenant 1 at 1:
         # tenant 1's virtual tag races ahead 4x faster.
         keys = {}
         for i in range(4):
-            keys[("a", i)] = policy.queue_key(_state(2 * i, tenant=0))
-            keys[("b", i)] = policy.queue_key(_state(2 * i + 1, tenant=1))
+            keys[("a", i)] = scheduler.queue_key(_state(2 * i, tenant=0))
+            keys[("b", i)] = scheduler.queue_key(_state(2 * i + 1,
+                                                        tenant=1))
         assert keys[("b", 3)][0] > keys[("a", 3)][0]
         # Within one tenant the tags are monotone (FIFO per tenant).
         assert keys[("a", 3)][0] > keys[("a", 0)][0]
 
     def test_fair_share_idle_tenant_rejoins_at_floor(self):
-        policy = FairSharePolicy()
+        scheduler = make_scheduler("paged-fair-share", TINY_GQA)
         for i in range(10):
-            policy.queue_key(_state(i, tenant=0, prompt=64, output=64))
-        busy_tag = policy._tags[0]
-        late = policy.queue_key(_state(99, tenant=1))
+            scheduler.queue_key(_state(i, tenant=0, prompt=64, output=64))
+        busy_tag = scheduler._tags[0]
+        late = scheduler.queue_key(_state(99, tenant=1))
         # The newcomer starts at the fleet floor (the min live tag),
         # not at zero — no unbounded saved credit.
-        assert late[0] == pytest.approx(min(busy_tag, policy._tags[1]))
+        assert late[0] == pytest.approx(min(busy_tag, scheduler._tags[1]))
         assert late[0] > 0.0
 
     def test_fair_share_victim_prefers_light_tenants(self):
-        policy = FairSharePolicy(slos=SLOS)
+        scheduler = make_scheduler("paged-fair-share", TINY_GQA, slos=SLOS)
         heavy = _state(0, tenant=0)
         light = _state(1, tenant=1)
-        assert policy.victim_key(light) > policy.victim_key(heavy)
+        assert scheduler.victim_key(light) > scheduler.victim_key(heavy)
 
     def test_tenant_priority_ranks_tenants_then_requests(self):
-        policy = TenantPriorityPolicy(slos=SLOS)
-        ranked = policy.queue_key(_state(0, tenant=0, arrival_s=5.0))
-        unranked = policy.queue_key(_state(1, tenant=1, arrival_s=0.0))
+        scheduler = make_scheduler("paged-tenant-priority", TINY_GQA,
+                                   slos=SLOS)
+        ranked = scheduler.queue_key(_state(0, tenant=0, arrival_s=5.0))
+        unranked = scheduler.queue_key(_state(1, tenant=1, arrival_s=0.0))
         assert ranked < unranked  # Tenant rank beats arrival order.
-        assert policy.outranks(_state(2, tenant=0),
-                               _state(3, tenant=1))
+        assert scheduler.outranks(_state(2, tenant=0),
+                                  _state(3, tenant=1))
         # Equal rank falls back to request priority.
-        assert policy.outranks(_state(4, tenant=1, priority=2),
-                               _state(5, tenant=1, priority=0))
+        assert scheduler.outranks(_state(4, tenant=1, priority=2),
+                                  _state(5, tenant=1, priority=0))
 
     def test_scheduler_builds_policy_with_slos(self):
         scheduler = make_scheduler("paged-fair-share", TINY_GQA,
                                    max_batch=4, slos=SLOS)
-        assert isinstance(scheduler.policy, FairSharePolicy)
-        assert scheduler.policy.slos[0].weight == 4.0
+        assert scheduler.slos[0].weight == 4.0
 
 
 class TestFleetLifecycle:

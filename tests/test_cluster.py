@@ -7,8 +7,8 @@ ISSUE satellites pinned here:
   clusters;
 * conservation — per-replica completed tokens sum to exactly the
   single-engine totals for the same trace;
-* the aliasing bugfix — replicas fed from one trace get re-instantiated
-  ``Request`` objects, never the caller's.
+* request identity — ``Request`` is frozen, so replicas take the
+  trace's own objects, and rerunning one trace is safe.
 """
 
 import pytest
@@ -215,17 +215,19 @@ class TestConservation:
 
 
 class TestRequestReinstantiation:
-    """ISSUE bugfix: replicas must not share the caller's (or each
-    other's) Request objects — per-replica state can never alias."""
+    """Requests are frozen, so replicas serve the trace's own objects;
+    per-request serving state lives in each scheduler's states."""
 
-    def test_replica_requests_are_fresh_instances(self):
+    def test_replica_records_hold_the_trace_requests(self):
         trace = tiny_trace(n=20)
         by_id = {r.req_id: r for r in trace}
         report = tiny_cluster(2).run(trace)
-        for rep in report.replicas:
-            for record in rep.records:
-                assert record.request == by_id[record.request.req_id]
-                assert record.request is not by_id[record.request.req_id]
+        held = [record.request for rep in report.replicas
+                for record in rep.records]
+        assert len(held) == len(trace)
+        assert all(request is by_id[request.req_id] for request in held)
+        assert all(record.request is by_id[record.request.req_id]
+                   for record in report.records)
 
     def test_rerunning_same_trace_objects_is_safe(self):
         trace = tiny_trace(n=15)

@@ -14,6 +14,7 @@ from repro.llm import (
     MODELS,
     WHISPER_TINY,
     build_decode_ops,
+    build_paged_step_ops,
     build_prefill_ops,
     gemm_macs,
     get_model,
@@ -155,3 +156,14 @@ class TestPrefillOps:
         qk = [op for op in ops if isinstance(op, GemmOp)
               and op.kind == "attention_qk"][0]
         assert qk.weights_resident
+
+    @pytest.mark.parametrize("config", [LLAMA2_70B_GQA, WHISPER_TINY],
+                             ids=lambda config: config.name)
+    @pytest.mark.parametrize("batch", [2, 5])
+    def test_batched_prefill_is_whole_prompt_chunks(self, config, batch):
+        """A batched prefill is the serving step of ``batch`` whole-prompt
+        chunks without the LM head, for a gated SiLU FFN and a plain
+        GELU one alike."""
+        assert build_prefill_ops(config, batch=batch, seq_len=48) == \
+            build_paged_step_ops(config, [], [(0, 48)] * batch,
+                                 include_lm_head=False)

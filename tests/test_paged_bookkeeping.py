@@ -408,7 +408,7 @@ class ParentPlanner:
         state = PagedSequenceState(
             request=request, admitted_s=None,
             prefill_target=request.prompt_len)
-        state.queue_sort_key = self.policy.queue_key(state)
+        state.queue_sort_key = self.queue_key(state)
         self.waiting.append(state)
         self._waiting_sorted = False
         self.outstanding_tokens += request.total_tokens
@@ -536,10 +536,10 @@ class ParentPlanner:
             if take <= 0:
                 self._rollback_admission(state, cached)
                 victim = None
-                if self.policy.preemptive_admission:
+                if self.preemptive_admission:
                     candidate = self._pick_victim(committed)
                     if candidate is not None and \
-                            self.policy.outranks(state, candidate):
+                            self.outranks(state, candidate):
                         victim = candidate
                 if victim is None:
                     break

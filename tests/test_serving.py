@@ -465,6 +465,21 @@ class TestEngine:
         # Identical (bucketed) active sets collapse onto cached costs.
         assert report.steps > len(engine._step_cache)
 
+    def test_engine_prices_kv_at_its_schedulers_width(self):
+        """An engine over an 8-bit scheduler prices every step's KV at
+        the 8 bits its admission reserves, exactly as the one-call
+        ``simulate_trace(kvq_bits=8)`` does."""
+        trace = poisson_trace(n_requests=20, rate_rps=2.0, prompt=SHORT,
+                              output=SHORT, seed=4)
+        scheduler = make_scheduler("continuous", TINY_GQA, kvq_bits=8)
+        report = ServingEngine(tiny_design(), TINY_GQA, scheduler).run(trace)
+        reference = simulate_trace(tiny_design(), TINY_GQA, trace,
+                                   kvq_bits=8)
+        four_bit = simulate_trace(tiny_design(), TINY_GQA, trace)
+        assert report.energy_j == reference.energy_j != four_bit.energy_j
+        assert report.makespan_s == reference.makespan_s
+        assert report.summary() == reference.summary()
+
 
 class TestCostMemoization:
     def test_schedule_cache_returns_same_object(self):
