@@ -12,7 +12,7 @@ Run:  python examples/autoscaling_serving_demo.py
 from repro.analysis.experiments import autoscaling_serving
 from repro.analysis.tables import render_table
 from repro.arch import make_design
-from repro.serve import make_autoscaling_cluster
+from repro.serve import AutoscalingCluster
 
 MODEL = autoscaling_serving.SERVE_MODEL  # Llama2-70B-GQA, 4-layer slice.
 
@@ -65,7 +65,7 @@ print(f"Cold starts: {report.cold_starts} "
 
 # ---------------------------------------------------------------- 3. ---
 print("\n=== 3. One-call elastic fleet construction ===")
-cluster = make_autoscaling_cluster(
+cluster = AutoscalingCluster(
     make_design("mugi", 256), MODEL, n_replicas=2, autoscaler="reactive",
     policy="paged-fair-share", max_batch=24, seq_len_bucket=32,
     slos=autoscaling_serving.SLOS, tick_s=60.0,

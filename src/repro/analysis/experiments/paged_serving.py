@@ -27,6 +27,7 @@ from ...serve import (
     SCHEDULERS,
     BlockManager,
     LengthSpec,
+    PagedScheduler,
     PrefixSpec,
     poisson_trace,
     simulate_trace,
@@ -104,7 +105,7 @@ def _run_point(design, model: ModelConfig, trace, policy: str,
                capacity_bytes: float, block_size: int, prefix_share: float,
                max_batch: int, chunk_tokens: int, seq_len_bucket: int,
                label: str | None = None) -> PagedPoint:
-    paged = policy.startswith("paged")
+    paged = issubclass(SCHEDULERS[policy], PagedScheduler)
     scheduler_kwargs = None
     if paged:
         # Sharded pods split each sequence's KV across KV-head/pipeline

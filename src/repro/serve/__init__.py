@@ -46,11 +46,10 @@ from .autoscale import (
     ReactiveAutoscaler,
     StaticAutoscaler,
     make_autoscaler,
-    make_autoscaling_cluster,
 )
-from .cluster import Replica, ServingCluster, make_cluster
+from .cluster import Replica, ServingCluster, make_cluster, simulate_trace
 from .costs import StepCostCache, aggregate_cache_stats, step_cost_store
-from .engine import ServingEngine, simulate_trace
+from .engine import ServingEngine
 from .kv_cache import BlockManager, BlockPoolStats
 from .metrics import (
     ClusterReport,
@@ -163,7 +162,6 @@ __all__ = [
     "aggregate_cache_stats",
     "bursty_trace",
     "make_autoscaler",
-    "make_autoscaling_cluster",
     "make_cluster",
     "make_router",
     "make_scheduler",

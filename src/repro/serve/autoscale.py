@@ -53,7 +53,9 @@ from ..errors import ConfigError
 from ..llm.config import ModelConfig
 from .cluster import Replica, ServingCluster, build_engine
 from .metrics import FleetReport
+from .policy import PagedScheduler
 from .router import Router, make_router
+from .scheduler import scheduler_class
 
 __all__ = [
     "AUTOSCALERS",
@@ -66,7 +68,6 @@ __all__ = [
     "ReactiveAutoscaler",
     "StaticAutoscaler",
     "make_autoscaler",
-    "make_autoscaling_cluster",
 ]
 
 
@@ -348,7 +349,8 @@ class AutoscalingCluster(ServingCluster):
             raise ConfigError(
                 f"tick_s must be positive and finite, got {tick_s!r}")
         scheduler_kwargs = dict(scheduler_kwargs or {})
-        if slos and policy in ("continuous", "static"):
+        if slos and not issubclass(scheduler_class(policy),
+                                   PagedScheduler):
             raise ConfigError(
                 "tenant SLO scheduling needs a paged policy; the "
                 "peak-reservation schedulers take no slos")
@@ -454,14 +456,3 @@ class AutoscalingCluster(ServingCluster):
             replica_seconds=reduce(add, self._replica_deltas),
             leakage_w=self.leakage_w, area_mm2=self.area_mm2)
 
-
-def make_autoscaling_cluster(design, config: ModelConfig,
-                             n_replicas: int = 4, **kwargs
-                             ) -> AutoscalingCluster:
-    """Elastic fleet of up to ``n_replicas`` replicas of ``design``.
-
-    ``make_autoscaling_cluster(make_design("mugi", 256), SERVE_MODEL,
-    6, autoscaler="reactive", tick_s=30.0)``
-    """
-    return AutoscalingCluster(design, config, n_replicas=n_replicas,
-                              **kwargs)

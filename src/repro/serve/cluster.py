@@ -25,8 +25,9 @@ Two deployment modes, set by the replicas' roles:
 
 :class:`repro.serve.AutoscalingCluster` is the same cluster with a
 replica set that grows and shrinks; a fixed cluster is the fleet that
-never boots a replica or ticks its scaler.  One heap-clock loop
-(:meth:`ServingCluster._drive`) serves all three: between arrival
+never boots a replica or ticks its scaler, and a single engine is the
+one-replica cluster (:func:`simulate_trace`).  One heap-clock loop
+(:meth:`ServingCluster._drive`) serves them all: between arrival
 cohorts, KV migrations, replica boots and scaler ticks it steps the
 earliest busy replica, passing the next event as the leap horizon.
 
@@ -49,18 +50,20 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, compress
 from operator import attrgetter
+
+import numpy as np
 
 from ..errors import ConfigError
 from ..parallel.collective import DEFAULT_INTERCONNECT, InterconnectConfig
 from .engine import ServingEngine
-from .metrics import ClusterReport, RequestRecord
+from .metrics import ClusterReport, RequestRecord, ServingReport
 from .router import Router, make_router
 from .scheduler import make_scheduler
 from .trace import Request, arrival_times, offered_load_rps
 
-__all__ = ["Replica", "ServingCluster", "make_cluster"]
+__all__ = ["Replica", "ServingCluster", "make_cluster", "simulate_trace"]
 
 #: Merged record order: by finish time, then request id (ids are
 #: unique, so the order is total).
@@ -324,18 +327,29 @@ class ServingCluster:
 
     def _validate(self, pending: list) -> None:
         """Whole-trace admission check: every distinct scheduler of the
-        routable replicas checks the half of each request it serves."""
-        arrivals, decodes = pending, []
+        routable replicas checks the half of each request it serves —
+        by token total (a prefill half holds ``prompt_len + 1``, a
+        decode half its origin's), building a half only to word an
+        error."""
+        n = len(pending)
+        totals = np.fromiter((r.prompt_len + r.output_len for r in pending),
+                             np.int64, n)
+        halves = [(self._targets, pending, totals, lambda r: r)]
         if self.mode == "disaggregated":
-            arrivals = [replace(r, output_len=1) for r in pending]
-            decodes = [self._decode_request(r, arrival_s=0.0)
-                       for r in pending if r.output_len > 1]
-        for requests, replicas in ((arrivals, self._targets),
-                                   (decodes, self._decode_targets)):
+            prompts = np.fromiter((r.prompt_len for r in pending), np.int64, n)
+            decoding = totals > prompts + 1
+            halves = [(self._targets, pending, prompts + 1,
+                       lambda r: replace(r, output_len=1)),
+                      (self._decode_targets, list(compress(pending, decoding)),
+                       totals[decoding],
+                       lambda r: self._decode_request(r, arrival_s=0.0))]
+        for replicas, requests, totals, half in halves:
             for scheduler in self._distinct_schedulers(replicas):
-                error = scheduler.trace_error(requests)
-                if error:
-                    raise ConfigError(f"unservable trace: {error}")
+                bad = scheduler.first_unservable(requests, totals)
+                if bad is not None:
+                    raise ConfigError(
+                        f"unservable trace: "
+                        f"{scheduler.admission_error(half(requests[bad]))}")
 
     def _finish(self, trace: list, pending: list) -> ClusterReport:
         """Retire every replica at the last clock and merge the
@@ -433,8 +447,8 @@ class ServingCluster:
 
     def _advance(self, rep: Replica, next_event: float) -> None:
         """Commit the earliest busy replica's next step — a leap may run
-        up to ``next_event`` — or idle it there if it plans nothing; a
-        replica still busy afterwards re-enters the clock heap.
+        up to ``next_event`` — or idle it there if it plans nothing (the
+        caller re-queues a replica still busy).
 
         Every event up to the step's start has happened, so the step is
         causally committed, and every leapt step starts strictly before
@@ -457,14 +471,16 @@ class ServingCluster:
                 self._drain(rep)
             if rep.state == "draining" and not engine.has_work():
                 self._retire(rep, engine.now)
-        elif next_event == math.inf:
-            raise ConfigError(
-                f"replica {rep.index} ({engine.scheduler.name}) stalled "
-                f"with work queued but nothing planned")
         else:
-            engine.advance_to(next_event)
-        if engine.has_work():
-            heapq.heappush(self._clock, (engine.now, rep.index))
+            self._idle(rep, next_event)
+
+    def _idle(self, rep: Replica, next_event: float) -> None:
+        """A busy replica planned nothing: it waits for the next event."""
+        if next_event == math.inf:
+            raise ConfigError(
+                f"replica {rep.index} ({rep.engine.scheduler.name}) "
+                f"stalled with work queued but nothing planned")
+        rep.engine.advance_to(next_event)
 
     def _drain(self, rep: Replica) -> None:
         """Fold a disaggregated replica's new completions into the
@@ -534,19 +550,27 @@ class ServingCluster:
         transfer lands), replica boots and scaler ticks (elastic fleets
         only).  A ``(clock, index)`` min-heap holds exactly one entry
         per busy replica — :meth:`_route` pushes it when the replica
-        gets work, :meth:`_advance` after each step, and nothing else
+        gets work, this loop after the replica's steps, and nothing else
         moves a busy replica's clock — so its top is the earliest busy
         replica, ties to the lowest index.  That replica steps when its
         clock is strictly before the next event; otherwise the event
         fires.  At equal times a boot comes first, then an arrival, a
         migration, and a tick.
 
+        A unified replica keeps stepping off the heap while it is still
+        the earliest busy replica before the next event.  As the only
+        routable replica, its leap horizon skips a next-event arrival
+        while :meth:`Scheduler.arrivals_inert` holds (re-checked every
+        step): a saturated batch plans the same steps either way.
+
         An arrival cohort — every arrival no later than the earliest
         busy clock, the next migration and the next tick, and strictly
         before the next boot — routes back-to-back through one
         :meth:`Router.select_batch` call: nothing else can happen
         between them.  Routing can wake an idle replica whose clock
-        then bounds the cohort (the commit callback shrinks it).
+        then bounds the cohort (the commit callback shrinks it).  A
+        fixed one-replica unified cluster routes nothing: each cohort
+        goes to its replica in one ``enqueue_many``.
         """
         replicas = self.replicas
         heap = self._clock
@@ -556,6 +580,8 @@ class ServingCluster:
         idx = 0
         n_pending = len(pending)
         next_tick = self.tick_s
+        lone = replicas[0] if len(replicas) == 1 and next_tick == inf \
+            and self.mode == "unified" else None
         while True:
             worker_now = heap[0][0] if heap else inf
             arrival_t = times[idx] if idx < n_pending else inf
@@ -567,13 +593,47 @@ class ServingCluster:
                 else inf
             next_event = min(arrival_t, migration_t, ready_t, tick_t)
             if worker_now < next_event:
-                self._advance(replicas[heapq.heappop(heap)[1]],
-                              next_event)
+                index = heapq.heappop(heap)[1]
+                rep = replicas[index]
+                engine, scheduler = rep.engine, rep.engine.scheduler
+                if rep.role != "unified":
+                    self._advance(rep, next_event)
+                else:
+                    rival = heap[0] if heap else (inf, index)
+                    inert = arrival_t == next_event < inf and \
+                        self._targets == [rep]
+                    after = min(migration_t, ready_t, tick_t)
+                    # Two calls a step (step, has_work); the clock is read raw.
+                    while True:
+                        if not engine.step(after if inert and
+                                           scheduler.arrivals_inert()
+                                           else next_event):
+                            self._idle(rep, next_event)
+                            break
+                        now = engine._now
+                        if not scheduler.has_work() or \
+                                now >= next_event or (now, index) > rival:
+                            break
+                    if rep.state == "draining" and not scheduler.has_work():
+                        self._retire(rep, engine.now)
+                if scheduler.has_work():
+                    heapq.heappush(heap, (engine.now, index))
                 continue
             if next_event == inf:
                 break
             if ready_t == next_event:
                 self._boot(ready_t)
+            elif arrival_t == next_event and lone is not None:
+                engine = lone.engine
+                idle = not engine.has_work()
+                engine.advance_to(arrival_t)
+                upto = bisect_right(times, engine.now, idx)
+                engine.scheduler.enqueue_many(pending[idx:upto])
+                lone.routed += upto - idx
+                lone.arrivals += times[idx:upto]
+                idx = upto
+                if idle:
+                    heapq.heappush(heap, (engine.now, 0))
             elif arrival_t == next_event:
                 bound = min(worker_now, migration_t, tick_t)
                 upto = min(bisect_right(times, bound, idx),
@@ -635,3 +695,30 @@ def make_cluster(design, config, n_replicas: int,
                           prefill_replicas=prefill_replicas,
                           decode_router=decode_router,
                           interconnect=interconnect)
+
+
+def simulate_trace(design, config, trace: list[Request],
+                   policy: str = "continuous", max_batch: int = 16,
+                   kv_capacity_bytes: float | None = None,
+                   kvq_bits: int = 4, seq_len_bucket: int = 1,
+                   scheduler_kwargs: dict | None = None,
+                   **engine_kwargs) -> ServingReport:
+    """One engine serving a trace, as a one-replica cluster; returns
+    its report, with the trace's :func:`offered_load_rps`.
+
+    ``simulate_trace(make_design("mugi", 256), LLAMA2_70B_GQA, trace)``
+
+    ``scheduler_kwargs`` reach the scheduler constructor (one engine
+    may own a ``block_manager`` instance) — e.g. ``policy="paged",
+    scheduler_kwargs={"block_size": 32, "preemption": "swap"}``.
+    """
+    scheduler = make_scheduler(policy, config, max_batch=max_batch,
+                               kv_capacity_bytes=kv_capacity_bytes,
+                               kvq_bits=kvq_bits,
+                               **(scheduler_kwargs or {}))
+    engine = ServingEngine(design, config, scheduler,
+                           seq_len_bucket=seq_len_bucket, **engine_kwargs)
+    cluster = ServingCluster([engine]).run(trace)
+    report = cluster.replicas[0]
+    report.offered_rps = cluster.offered_rps
+    return report

@@ -2,12 +2,11 @@
 
 The engine advances a clock step by step.  Each step it
 
-1. ingests every request that has arrived by the clock;
-2. asks the scheduler for the step's active set (new admissions to
+1. asks the scheduler for the step's active set (new admissions to
    prefill + running sequences to decode; the paged schedulers of
    :mod:`repro.serve.policy` hand back budgeted prefill *chunks* and
    may charge host-link swap time for preempted KV);
-3. prices that *ragged* active set as one fused step — the graph
+2. prices that *ragged* active set as one fused step — the graph
    :func:`repro.llm.workload.build_serving_step_ops` describes:
    projections and FFN GEMMs shared by every active token so model
    weights stream once per step, attention per context length — on any
@@ -15,7 +14,7 @@ The engine advances a clock step by step.  Each step it
    (:class:`repro.parallel.ShardedSystem`), through the per-design cost
    surface (equivalent to :func:`repro.arch.simulate_workload` over the
    op list, without rebuilding it);
-4. advances the clock by the step's roofline time — for sharded
+3. advances the clock by the step's roofline time — for sharded
    deployments that roofline overlaps compute with the step's exposed
    collective-communication time — and credits one token to every
    active sequence (the prefill step emits the first token).
@@ -41,25 +40,20 @@ execution.  Leaping needs ``seq_len_bucket > 1`` (exact mode changes
 every step's signature) and falls back to stepwise execution whenever a
 chunked prefill, swap, admission, or completion is in flight.
 
-The engine no longer has to own the event loop: :meth:`ServingEngine.run`
-drives the classic single-engine trace-to-completion loop, but the
-primitives it is built from — :meth:`~ServingEngine.start` /
-:meth:`~ServingEngine.submit` / :meth:`~ServingEngine.step` /
-:meth:`~ServingEngine.advance_to` / :meth:`~ServingEngine.finish` — are
-public, so an external clock (the multi-replica
-:class:`repro.serve.ServingCluster`) can interleave many engines'
-steps against one global arrival stream, passing each step the arrival
-horizon up to which leaping is safe.
+The engine owns no event loop: :class:`repro.serve.ServingCluster`
+drives its :meth:`~ServingEngine.start` / ``submit`` / ``step`` /
+``advance_to`` / ``finish`` primitives, interleaving replicas against
+one arrival stream, and a single engine is a one-replica cluster
+(:func:`repro.serve.simulate_trace`).
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from functools import reduce
 from itertools import accumulate, repeat
-from operator import add, attrgetter
+from operator import add
 
 from ..arch.simulator import SimulationResult
 from ..arch.technology import TECH_45NM
@@ -67,8 +61,8 @@ from ..errors import ConfigError
 from ..llm.config import ModelConfig
 from .costs import step_cost_store
 from .metrics import RequestRecord, ServingReport
-from .scheduler import Scheduler, StepPlan, make_scheduler
-from .trace import Request, arrival_times, offered_load_rps
+from .scheduler import Scheduler, StepPlan
+from .trace import Request
 
 
 class ServingEngine:
@@ -193,19 +187,17 @@ class ServingEngine:
             raise ConfigError("no active serving session; call start()")
         return self._report
 
-    def start(self, offered_rps: float = 0.0) -> ServingReport:
+    def start(self) -> ServingReport:
         """Open a serving session at clock 0 and return its live report.
 
-        ``run`` calls this internally; an external driver (the cluster's
-        event loop) calls it once, then interleaves :meth:`submit` /
-        :meth:`step` / :meth:`advance_to` and closes with
-        :meth:`finish`.
+        The driver (the cluster's event loop) calls this once, then
+        interleaves :meth:`submit` / :meth:`step` / :meth:`advance_to`
+        and closes with :meth:`finish`.
         """
         self._report = ServingReport(
             design=getattr(self.design, "name", type(self.design).__name__),
             scheduler=self.scheduler.name,
-            kv_capacity_bytes=self.scheduler.kv_capacity_bytes,
-            offered_rps=offered_rps)
+            kv_capacity_bytes=self.scheduler.kv_capacity_bytes)
         self._now = 0.0
         self._cache_hits = 0
         self._cache_misses = 0
@@ -536,75 +528,3 @@ class ServingEngine:
         self._report = None
         self._resume = None
         return report
-
-    # -- event loop -----------------------------------------------------
-    def run(self, trace: list[Request]) -> ServingReport:
-        """Serve a trace to completion and return the aggregate report."""
-        if not trace:
-            raise ConfigError("empty trace")
-        pending = sorted(trace, key=attrgetter("arrival_s", "req_id"))
-        # Fail before simulating anything, not mid-run at enqueue.
-        arrivals = arrival_times(pending)
-        if len({r.req_id for r in pending}) != len(pending):
-            raise ConfigError("trace has duplicate req_ids; records and "
-                              "KV block tables are keyed by req_id")
-        error = self.scheduler.trace_error(pending)
-        if error:
-            raise ConfigError(f"unservable trace: {error}")
-        self.start(offered_rps=offered_load_rps(trace))
-        idx, n = 0, len(pending)
-        while idx < n or self.scheduler.has_work():
-            if idx < n and arrivals[idx] <= self._now:
-                # Ingest every request that has arrived by the clock in
-                # one slice (arrivals is sorted).
-                upto = bisect_right(arrivals, self._now, idx)
-                self.scheduler.enqueue_many(pending[idx:upto])
-                idx = upto
-            # The next un-ingested arrival bounds how far a committed
-            # pure-decode step may leap (a leapt step must start
-            # strictly before it, exactly as this loop would step) —
-            # unless the scheduler is saturated, in which case the
-            # arrival could only queue up and the leap sails through it
-            # (:meth:`Scheduler.arrivals_inert`); the queue refills in
-            # bulk at the next planned step.  Overloaded traces spend
-            # most of their life saturated, so this collapses the
-            # planned-step count from one-per-arrival to
-            # one-per-completion-or-bucket-crossing.
-            if idx < n and not self.scheduler.arrivals_inert():
-                horizon = arrivals[idx]
-            else:
-                horizon = math.inf
-            if self.step(horizon=horizon):
-                continue
-            if idx >= n:
-                # Nothing runnable and nothing left to arrive: a
-                # scheduler bug, not a state the loop can leave.
-                raise ConfigError(
-                    f"scheduler {self.scheduler.name} stalled with "
-                    f"work queued but nothing planned")
-            # Idle: jump to the next arrival.
-            self.advance_to(arrivals[idx])
-        return self.finish()
-
-
-def simulate_trace(design, config: ModelConfig, trace: list[Request],
-                   policy: str = "continuous", max_batch: int = 16,
-                   kv_capacity_bytes: float | None = None,
-                   kvq_bits: int = 4, seq_len_bucket: int = 1,
-                   scheduler_kwargs: dict | None = None,
-                   **engine_kwargs) -> ServingReport:
-    """One-call serving run: build scheduler + engine, serve the trace.
-
-    ``simulate_trace(make_design("mugi", 256), LLAMA2_70B_GQA, trace)``
-
-    ``scheduler_kwargs`` reach the scheduler constructor — e.g.
-    ``policy="paged", scheduler_kwargs={"block_size": 32,
-    "preemption": "swap"}``.
-    """
-    scheduler = make_scheduler(policy, config, max_batch=max_batch,
-                               kv_capacity_bytes=kv_capacity_bytes,
-                               kvq_bits=kvq_bits,
-                               **(scheduler_kwargs or {}))
-    engine = ServingEngine(design, config, scheduler,
-                           seq_len_bucket=seq_len_bucket, **engine_kwargs)
-    return engine.run(trace)

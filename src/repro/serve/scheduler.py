@@ -196,11 +196,17 @@ class Scheduler:
         totals = np.fromiter((r.prompt_len + r.output_len
                               for r in requests),
                              dtype=np.int64, count=len(requests))
+        bad = self.first_unservable(requests, totals)
+        return None if bad is None else self.admission_error(requests[bad])
+
+    def first_unservable(self, requests: list[Request],
+                         totals: np.ndarray) -> int | None:
+        """Index of the first request unservable at its entry of
+        ``totals`` (not necessarily its own total: a disaggregated
+        cluster checks each half's), or None."""
         bad = (totals > self.config.max_seq_len) \
             | self._capacity_mask(requests, totals)
-        if bad.any():
-            return self.admission_error(requests[int(bad.argmax())])
-        return None
+        return int(bad.argmax()) if bad.any() else None
 
     def enqueue(self, request: Request) -> None:
         """Queue one request (rejects requests that can never fit)."""
@@ -247,8 +253,9 @@ class Scheduler:
     def arrivals_inert(self) -> bool:
         """True when a newly arrived request cannot change the plan.
 
-        :meth:`repro.serve.ServingEngine.run` uses this to pick the
-        leap horizon: when the batch is saturated an arrival can only
+        The cluster drive loop (:class:`repro.serve.ServingCluster`)
+        uses this to pick the leap horizon of the only routable
+        replica: when the batch is saturated an arrival can only
         join the queue — every admission path first checks
         ``len(running) < max_batch``, and a full batch never even
         examines the queue head (so no prefix-cache LRU touch either,
@@ -446,11 +453,16 @@ class StaticBatchScheduler(ContinuousBatchScheduler):
         return bool(self.running)
 
 
-def make_scheduler(policy: str, config: ModelConfig, **kwargs) -> Scheduler:
-    """``make_scheduler("continuous", LLAMA2_70B_GQA, max_batch=16)``."""
+def scheduler_class(policy: str) -> type:
+    """The scheduler class registered as ``policy``: where a family
+    check (paged or peak reservation) reads the policy's kind."""
     try:
-        cls = SCHEDULERS[policy]
+        return SCHEDULERS[policy]
     except KeyError:
         raise ConfigError(f"unknown scheduler policy {policy!r}; "
                           f"choose from {sorted(SCHEDULERS)}") from None
-    return cls(config, **kwargs)
+
+
+def make_scheduler(policy: str, config: ModelConfig, **kwargs) -> Scheduler:
+    """``make_scheduler("continuous", LLAMA2_70B_GQA, max_batch=16)``."""
+    return scheduler_class(policy)(config, **kwargs)

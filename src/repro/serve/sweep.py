@@ -67,14 +67,15 @@ from functools import lru_cache
 from ..arch import make_design
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
-from .autoscale import make_autoscaling_cluster
-from .cluster import make_cluster
+from .autoscale import AutoscalingCluster
+from .cluster import make_cluster, simulate_trace
 from .costs import (
     aggregate_cache_stats,
     export_store_tables,
     install_store_tables,
 )
-from .engine import simulate_trace
+from .policy import PagedScheduler
+from .scheduler import scheduler_class
 from .trace import (
     LengthSpec,
     PrefixSpec,
@@ -188,8 +189,10 @@ class SweepPoint:
     :class:`repro.parallel.ShardedSystem` pod (memoized the same way),
     so a sweep can range over the parallelism grid declaratively.
 
-    ``router=None`` runs a single engine; naming a router builds an
-    ``n_replicas``-wide :func:`repro.serve.make_cluster` cluster
+    ``router=None`` runs a single engine through
+    :func:`repro.serve.simulate_trace` (a one-replica cluster that
+    routes nothing); naming a router builds an ``n_replicas``-wide
+    :func:`repro.serve.make_cluster` cluster
     (``mode="disaggregated"`` for split prefill/decode pools, with
     ``prefill_replicas`` naming the split — ``None`` keeps the
     factory's even default).
@@ -208,11 +211,11 @@ class SweepPoint:
     are accepted and normalized.
 
     Naming an ``autoscaler`` runs an elastic
-    :func:`repro.serve.make_autoscaling_cluster` fleet instead of a
-    fixed cluster: ``n_replicas`` becomes the fleet ceiling, ``slos``
+    :class:`repro.serve.AutoscalingCluster` fleet instead of a fixed
+    cluster: ``n_replicas`` becomes the fleet ceiling, ``slos``
     carries the per-tenant terms into the scheduler policy, and the
     point yields a :class:`repro.serve.FleetReport`.  A fleet needs a
-    router; leaving ``router=None`` normalizes to the fleet factory's
+    router; leaving ``router=None`` normalizes to the fleet's
     ``"least-outstanding"`` default at construction (visible on the
     point) rather than silently inside the executor.
     """
@@ -305,6 +308,7 @@ class SweepPoint:
                     f"prefill_replicas must leave at least one decode "
                     f"replica: need 1 <= prefill_replicas < "
                     f"{self.n_replicas}, got {value}")
+        paged = issubclass(scheduler_class(self.policy), PagedScheduler)
         scheduler_kwargs = dict(self.scheduler_kwargs)
         object.__setattr__(self, "scheduler_kwargs",
                            tuple(sorted(scheduler_kwargs.items())))
@@ -320,7 +324,7 @@ class SweepPoint:
             object.__setattr__(self, name, value)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
-            if not self.policy.startswith("paged"):
+            if not paged:
                 raise ConfigError(
                     f"{name} applies to the paged scheduler stack, not "
                     f"policy={self.policy!r}")
@@ -471,36 +475,24 @@ def _serve(point: SweepPoint, design, trace):
         scheduler_kwargs["block_size"] = point.block_size
     if point.chunk_tokens is not None:
         scheduler_kwargs["chunk_tokens"] = point.chunk_tokens
-    scheduler_kwargs = scheduler_kwargs or None
+    common = dict(policy=point.policy, max_batch=point.max_batch,
+                  kv_capacity_bytes=point.kv_capacity_bytes,
+                  kvq_bits=point.kvq_bits,
+                  seq_len_bucket=point.seq_len_bucket,
+                  scheduler_kwargs=scheduler_kwargs or None)
     if point.autoscaler is not None:
-        cluster = make_autoscaling_cluster(
+        return AutoscalingCluster(
             design, point.model, n_replicas=point.n_replicas,
             autoscaler=point.autoscaler,
             autoscaler_kwargs=dict(point.autoscaler_kwargs),
-            router=point.router, policy=point.policy,
-            max_batch=point.max_batch,
-            kv_capacity_bytes=point.kv_capacity_bytes,
-            kvq_bits=point.kvq_bits, scheduler_kwargs=scheduler_kwargs,
-            seq_len_bucket=point.seq_len_bucket, slos=point.slos,
-            tick_s=point.tick_s)
-        return cluster.run(trace)
+            router=point.router, slos=point.slos, tick_s=point.tick_s,
+            **common).run(trace)
     if point.router is None:
-        return simulate_trace(
-            design, point.model, trace, policy=point.policy,
-            max_batch=point.max_batch,
-            kv_capacity_bytes=point.kv_capacity_bytes,
-            kvq_bits=point.kvq_bits,
-            seq_len_bucket=point.seq_len_bucket,
-            scheduler_kwargs=scheduler_kwargs)
-    cluster = make_cluster(
-        design, point.model, point.n_replicas, policy=point.policy,
-        router=point.router, mode=point.mode,
-        prefill_replicas=point.prefill_replicas,
-        max_batch=point.max_batch,
-        kv_capacity_bytes=point.kv_capacity_bytes,
-        kvq_bits=point.kvq_bits, scheduler_kwargs=scheduler_kwargs,
-        seq_len_bucket=point.seq_len_bucket)
-    return cluster.run(trace)
+        return simulate_trace(design, point.model, trace, **common)
+    return make_cluster(design, point.model, point.n_replicas,
+                        router=point.router, mode=point.mode,
+                        prefill_replicas=point.prefill_replicas,
+                        **common).run(trace)
 
 
 @dataclass(frozen=True)
@@ -866,8 +858,6 @@ def run_sweep(points, jobs: int = 1) -> SweepReport:
 
 def _demo_points(n_requests: int, rates, designs) -> list[SweepPoint]:
     """The smoke-test grid: small load sweep over a couple of designs."""
-    from dataclasses import replace
-
     from ..llm.config import LLAMA2_70B_GQA
 
     model = replace(LLAMA2_70B_GQA, name="Llama2-70B-GQA-4L", n_layers=4)

@@ -68,7 +68,7 @@ class Request:
         :class:`TenantSpec`'s id so per-tenant SLO accounting
         (:meth:`repro.serve.metrics.RecordStats.goodput_rps` with
         ``slos=``) and fair-share admission
-        (:class:`repro.serve.FairSharePolicy`) can tell tenants apart.
+        (:class:`repro.serve.PagedFairShareScheduler`) tell tenants apart.
     """
 
     req_id: int
@@ -213,20 +213,32 @@ def _make_requests(arrivals: np.ndarray, prompt: LengthSpec,
             raise ConfigError("priorities must be a non-empty sequence")
         levels = rng.choice(np.asarray(priorities, dtype=np.int64),
                             size=n)
-    groups = np.full(n, -1)
-    prefix_lens = np.zeros(n, dtype=np.int64)
-    if prefix is not None and prefix.share > 0:
-        group_lens = prefix.length.sample(rng, prefix.n_groups)
-        shared = rng.random(n) < prefix.share
-        groups = np.where(shared, rng.integers(0, prefix.n_groups, size=n),
-                          -1)
-        dup = shared & (rng.random(n) < prefix.dup_share)
-        idx = np.flatnonzero(shared)
-        plens = group_lens[groups[idx]]
-        prefix_lens[idx] = plens
-        prompts[idx] = np.where(dup[idx], plens, plens + prompts[idx])
+    groups, prefix_lens, _ = _sample_prefixes(prefix, prompts, rng)
     return _build_requests(arrivals, prompts, outputs, levels, groups,
                            prefix_lens)
+
+
+def _sample_prefixes(prefix: PrefixSpec | None, prompts: np.ndarray,
+                     rng: np.random.Generator, group_base: int = 0
+                     ) -> tuple:
+    """Draw shared prefixes, growing ``prompts`` in place: returns the
+    group column (ids from ``group_base``, -1 for none), the prefix
+    lengths, and the next free group id."""
+    n = prompts.size
+    groups = np.full(n, -1)
+    prefix_lens = np.zeros(n, dtype=np.int64)
+    if prefix is None or prefix.share <= 0:
+        return groups, prefix_lens, group_base
+    group_lens = prefix.length.sample(rng, prefix.n_groups)
+    shared = rng.random(n) < prefix.share
+    groups = np.where(
+        shared, rng.integers(0, prefix.n_groups, size=n) + group_base, -1)
+    dup = shared & (rng.random(n) < prefix.dup_share)
+    idx = np.flatnonzero(shared)
+    plens = group_lens[groups[idx] - group_base]
+    prefix_lens[idx] = plens
+    prompts[idx] = np.where(dup[idx], plens, plens + prompts[idx])
+    return groups, prefix_lens, group_base + prefix.n_groups
 
 
 def _build_requests(arrivals, prompts, outputs, levels, groups,
@@ -475,21 +487,8 @@ def multi_tenant_trace(tenants, duration_s: float, day_s: float = 86400.0,
         prompts = spec.prompt.sample(rng, n)
         outputs = spec.output.sample(rng, n)
         levels = np.full(n, spec.priority, dtype=np.int64)
-        groups = np.full(n, -1)
-        prefix_lens = np.zeros(n, dtype=np.int64)
-        prefix = spec.prefix
-        if prefix is not None and prefix.share > 0:
-            group_lens = prefix.length.sample(rng, prefix.n_groups)
-            shared = rng.random(n) < prefix.share
-            groups = np.where(
-                shared,
-                rng.integers(0, prefix.n_groups, size=n) + group_base, -1)
-            dup = shared & (rng.random(n) < prefix.dup_share)
-            idx = np.flatnonzero(shared)
-            plens = group_lens[groups[idx] - group_base]
-            prefix_lens[idx] = plens
-            prompts[idx] = np.where(dup[idx], plens, plens + prompts[idx])
-            group_base += prefix.n_groups
+        groups, prefix_lens, group_base = _sample_prefixes(
+            spec.prefix, prompts, rng, group_base)
         columns.append((events, prompts, outputs, levels, groups,
                         prefix_lens, np.full(n, spec.tenant,
                                              dtype=np.int64)))

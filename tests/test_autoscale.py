@@ -28,6 +28,7 @@ from repro.errors import ConfigError
 from repro.llm import ModelConfig
 from repro.serve import (
     AUTOSCALERS,
+    AutoscalingCluster,
     ColdStartConfig,
     DEFAULT_COLD_START,
     FleetReport,
@@ -43,7 +44,6 @@ from repro.serve import (
     TenantSpec,
     TraceSpec,
     make_autoscaler,
-    make_autoscaling_cluster,
     make_cluster,
     make_scheduler,
     multi_tenant_trace,
@@ -75,7 +75,7 @@ import math
 from repro.arch import make_design
 from repro.errors import ConfigError
 from repro.llm import ModelConfig
-from repro.serve import ColdStartConfig, Request, make_autoscaling_cluster
+from repro.serve import AutoscalingCluster, ColdStartConfig, Request
 
 config = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
                      n_heads=16, n_kv_heads=2, hidden_dim=512,
@@ -93,7 +93,7 @@ cases = {
 }
 for name, kwargs in cases.items():
     try:
-        make_autoscaling_cluster(
+        AutoscalingCluster(
             design, config, 3, autoscaler="reactive",
             autoscaler_kwargs={"target_tokens_per_replica": 100.0},
             **{"tick_s": 0.05, **kwargs()}).run(trace)
@@ -113,9 +113,9 @@ def tiny_trace(duration_s=120.0, seed=5):
 
 def tiny_fleet(autoscaler="static", n_replicas=3, policy="paged",
                slos=(), **kwargs):
-    return make_autoscaling_cluster(tiny_design(), TINY_GQA, n_replicas,
-                                    autoscaler=autoscaler, policy=policy,
-                                    slos=slos, tick_s=10.0, **kwargs)
+    return AutoscalingCluster(tiny_design(), TINY_GQA, n_replicas,
+                              autoscaler=autoscaler, policy=policy,
+                              slos=slos, tick_s=10.0, **kwargs)
 
 
 def snapshot(active=2, provisioning=0, outstanding=0, rate=0.0,
@@ -491,8 +491,7 @@ class TestFleetLifecycle:
     @pytest.mark.parametrize("tick_s", [math.nan, math.inf, 0.0, -1.0])
     def test_tick_must_be_positive_and_finite(self, tick_s):
         with pytest.raises(ConfigError, match="tick_s"):
-            make_autoscaling_cluster(tiny_design(), TINY_GQA, 2,
-                                     tick_s=tick_s)
+            AutoscalingCluster(tiny_design(), TINY_GQA, 2, tick_s=tick_s)
 
     def test_non_finite_timing_raises_instead_of_hanging(self):
         src = Path(repro.__file__).resolve().parents[1]

@@ -21,6 +21,7 @@ from repro.serve import (
     PrefixSpec,
     Replica,
     Request,
+    Router,
     ServingCluster,
     ServingEngine,
     bursty_trace,
@@ -186,17 +187,21 @@ class TestConservation:
             single.completed == len(trace)
         assert cluster.generated_tokens == single.generated_tokens
 
-    def test_single_replica_cluster_matches_engine_exactly(self):
-        """N=1 round-robin degenerates to the plain engine loop."""
+    def test_one_replica_cluster_never_calls_its_router(self):
+        """A fixed one-replica cluster has no routing decision to make:
+        each arrival cohort goes straight to its replica."""
+
+        class Unroutable(Router):
+            def select(self, request, replicas):
+                raise AssertionError("select called")
+
+            def select_batch(self, requests, replicas, commit):
+                raise AssertionError("select_batch called")
+
         trace = tiny_trace(n=25)
-        single = simulate_trace(tiny_design(), TINY_GQA, trace,
-                                policy="paged")
-        cluster = tiny_cluster(1).run(trace)
-        replica = cluster.replicas[0]
-        assert replica.makespan_s == pytest.approx(single.makespan_s)
-        assert replica.steps == single.steps
-        assert cluster.goodput_rps() == pytest.approx(
-            single.goodput_rps())
+        report = tiny_cluster(1, router=Unroutable()).run(trace)
+        assert report.routed == [25]
+        assert report.completed == 25
 
     def test_disaggregated_conserves_output_tokens(self):
         trace = tiny_trace(n=30)
@@ -289,11 +294,11 @@ class TestExternalClockApi:
                              output=SHORT, seed=2)
         auto = ServingEngine(tiny_design(), TINY_GQA,
                              make_scheduler("continuous", TINY_GQA))
-        reference = auto.run(trace)
+        reference = ServingCluster([auto]).run(trace).replicas[0]
 
         manual = ServingEngine(tiny_design(), TINY_GQA,
                                make_scheduler("continuous", TINY_GQA))
-        manual.start(offered_rps=reference.offered_rps)
+        manual.start().offered_rps = reference.offered_rps
         pending = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
         idx = 0
         while idx < len(pending) or manual.has_work():
@@ -353,6 +358,29 @@ class TestClusterValidation:
                       output_len=1500)
         with pytest.raises(ConfigError, match="unservable"):
             tiny_cluster().run([bad])
+
+    def test_disaggregated_halves_word_their_own_errors(self):
+        """Each half is checked at its own token total: a long prompt
+        fails as the one-token prefill half, a long output as the decode
+        half, which holds the whole footprint."""
+        capacity = TINY_GQA.kv_cache_bytes(seq_len=256, batch=1, bits=4)
+        cluster = tiny_cluster(2, mode="disaggregated",
+                               kv_capacity_bytes=capacity,
+                               scheduler_kwargs={"block_size": 16})
+        long_prompt = Request(req_id=3, arrival_s=0.0, prompt_len=300,
+                              output_len=4)
+        with pytest.raises(ConfigError) as prefill:
+            cluster.run([_request(req_id=0), long_prompt])
+        assert str(prefill.value) == (
+            "unservable trace: request 3 needs 19 KV blocks at peak, "
+            "over the pool's 16 (3.28e+04 bytes)")
+        long_output = Request(req_id=5, arrival_s=0.0, prompt_len=100,
+                              output_len=200)
+        with pytest.raises(ConfigError) as decode:
+            cluster.run([_request(req_id=0), long_output])
+        assert str(decode.value) == (
+            "unservable trace: request 5 needs 3.84e+04 KV bytes, over "
+            "the 3.28e+04-byte capacity")
 
     def test_mode_and_role_validation(self):
         with pytest.raises(ConfigError, match="at least one"):
@@ -518,13 +546,13 @@ class TestElasticRoutingIsolation:
     @pytest.mark.parametrize("router", ["prefix-affinity",
                                         "power-of-two"])
     def test_router_never_offered_non_active_replicas(self, router):
-        from repro.serve import ColdStartConfig, make_autoscaling_cluster
+        from repro.serve import AutoscalingCluster, ColdStartConfig
         # Warm-start 1, boot 2 more at t=0.1 (ready ~t=0.2), drain back
         # to 1 at t=0.4: trickle arrivals run past t=1, so requests are
         # routed while the fleet holds provisioning AND drained
         # replicas.
         scripted = _ScriptedScaler([1, 3, 3, 3, 1, 1])
-        fleet = make_autoscaling_cluster(
+        fleet = AutoscalingCluster(
             tiny_design(), TINY_GQA, 3, autoscaler=scripted.scaler,
             router=router, policy="paged", tick_s=0.1,
             cold_start=ColdStartConfig(provision_s=0.1))
@@ -554,11 +582,11 @@ class TestElasticRoutingIsolation:
         assert report.completed == len(trace)
 
     def test_draining_replica_finishes_inflight_work(self):
-        from repro.serve import make_autoscaling_cluster
+        from repro.serve import AutoscalingCluster
         # Warm-start 3, drain to 1 at t=0.1 while every replica still
         # holds queued decode work (the burst batch runs to ~0.24s).
         scripted = _ScriptedScaler([3, 1, 1])
-        fleet = make_autoscaling_cluster(
+        fleet = AutoscalingCluster(
             tiny_design(), TINY_GQA, 3, autoscaler=scripted.scaler,
             router="least-outstanding", policy="paged", tick_s=0.1)
         trace = _lifecycle_trace()

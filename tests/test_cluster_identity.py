@@ -25,10 +25,10 @@ from fleet_reference import assert_reports_identical, reference_run
 from repro.arch import make_design
 from repro.llm import ModelConfig
 from repro.serve import (
+    AutoscalingCluster,
     LengthSpec,
     PrefixSpec,
     Request,
-    make_autoscaling_cluster,
     make_cluster,
     poisson_trace,
 )
@@ -92,7 +92,7 @@ class TestFleetIdentity:
                              ("static", "reactive", "predictive"))
     def test_fleet_heap_matches_legacy(self, autoscaler, router):
         def build():
-            return make_autoscaling_cluster(
+            return AutoscalingCluster(
                 tiny_design(), TINY_GQA, 3, autoscaler=autoscaler,
                 policy="paged", router=router, tick_s=5.0,
                 seq_len_bucket=16, max_batch=8)
@@ -111,7 +111,7 @@ class TestFleetIdentity:
                               prefix_group=wide[request.prefix_group])
                  for request in _trace(n=60, seed=5)]
         assert {r.prefix_group for r in trace} - {None} == set(wide)
-        make, extra = (make_autoscaling_cluster, {"tick_s": 5.0}) \
+        make, extra = (AutoscalingCluster, {"tick_s": 5.0}) \
             if fleet else (make_cluster, {})
 
         def build():

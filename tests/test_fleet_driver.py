@@ -1,11 +1,16 @@
 """Differential property for the fleet driver.
 
-Hypothesis draws a whole cluster run — mode (unified, disaggregated or
-elastic), router, scheduler policy, replica count, autoscaler, decision
-tick and a small shared-prefix trace — and checks three things:
+Hypothesis draws a whole cluster run — mode (single engine, unified,
+disaggregated or elastic), router, scheduler policy, replica count,
+autoscaler, decision tick and a small shared-prefix trace — and checks
+three things:
 
 * the driver's report equals the naive reference loop's
-  (:mod:`fleet_reference`) on every non-diagnostic field;
+  (:mod:`fleet_reference`) on every non-diagnostic field — for a single
+  engine, ``simulate_trace`` (a one-replica cluster: no router call,
+  inert arrivals leapt) against the reference run of that cluster,
+  which cuts every leap at the next arrival and routes one request at
+  a time;
 * decode leaping changes nothing: the same run with the engines'
   ``leap=False`` reports identically;
 * invariants: every request completes exactly once, the routed counts
@@ -26,12 +31,14 @@ from repro.serve import (
     Autoscaler,
     ColdStartConfig,
     LengthSpec,
+    SCHEDULERS,
+    AutoscalingCluster,
+    PagedScheduler,
     PrefixSpec,
     Request,
     StaticAutoscaler,
     bursty_trace,
     make_autoscaler,
-    make_autoscaling_cluster,
     make_cluster,
     poisson_trace,
     simulate_trace,
@@ -82,18 +89,21 @@ def cold_start(provision_s):
 @st.composite
 def fleet_runs(draw):
     """A cluster factory plus the trace it serves."""
-    mode = draw(st.sampled_from(("unified", "disaggregated", "elastic")))
-    policy = draw(st.sampled_from(("continuous", "paged")))
+    mode = draw(st.sampled_from(("single", "unified", "disaggregated",
+                                 "elastic")))
+    policy = draw(st.sampled_from(sorted(SCHEDULERS) if mode == "single"
+                                  else ("continuous", "paged")))
+    paged = issubclass(SCHEDULERS[policy], PagedScheduler)
     kwargs = dict(router=draw(st.sampled_from(sorted(ROUTERS))),
                   policy=policy,
                   scheduler_kwargs={"preemption": draw(st.sampled_from(
-                      ("recompute", "swap")))} if policy == "paged"
-                  else None,
+                      ("recompute", "swap")))} if paged else None,
                   max_batch=draw(st.integers(1, 8)),
                   kv_capacity_bytes=draw(st.sampled_from((CAPACITY,
                                                           None))),
                   seq_len_bucket=draw(st.sampled_from((2, 16))))
-    n_replicas = draw(st.integers(1 if mode == "unified" else 2, 4))
+    n_replicas = 1 if mode == "single" else \
+        draw(st.integers(1 if mode == "unified" else 2, 4))
     if mode == "elastic":
         scaler = draw(st.sampled_from(("parity", "static", "reactive",
                                        "predictive")))
@@ -115,13 +125,14 @@ def fleet_runs(draw):
             autoscaler = ParityScaler(**scaler_kwargs) \
                 if scaler == "parity" \
                 else make_autoscaler(scaler, **scaler_kwargs)
-            return make_autoscaling_cluster(DESIGN, TINY_GQA, n_replicas,
-                                            autoscaler=autoscaler,
-                                            **kwargs, **extra, **engine)
+            return AutoscalingCluster(DESIGN, TINY_GQA, n_replicas,
+                                      autoscaler=autoscaler, **kwargs,
+                                      **extra, **engine)
     else:
         def build(**engine):
-            return make_cluster(DESIGN, TINY_GQA, n_replicas, mode=mode,
-                                **kwargs, **engine)
+            return make_cluster(DESIGN, TINY_GQA, n_replicas,
+                                mode="unified" if mode == "single"
+                                else mode, **kwargs, **engine)
     shape = dict(n_requests=draw(st.integers(4, 40)), prompt=PROMPT,
                  output=OUTPUT, prefix=PREFIX,
                  seed=draw(st.integers(0, 2 ** 16)))
@@ -134,17 +145,26 @@ def fleet_runs(draw):
         trace = bursty_trace(burst_size=draw(st.integers(1, 8)),
                              burst_period_s=draw(st.sampled_from(GRID)),
                              **shape)
-    return mode, build, trace
+    single_kwargs = {key: value for key, value in kwargs.items()
+                     if key != "router"}
+    return mode, build, trace, single_kwargs
 
 
 @given(fleet_runs())
 @settings(max_examples=300, deadline=None)
 def test_driver_matches_reference_and_stepwise(run):
-    mode, build, trace = run
+    mode, build, trace, single_kwargs = run
     report = build().run(trace)
+    reference = reference_run(build(), trace)
 
-    assert_reports_identical(report, reference_run(build(), trace))
+    assert_reports_identical(report, reference)
     assert_reports_identical(report, build(leap=False).run(trace))
+    if mode == "single":
+        # The engine's report, stamped with the whole trace's rate.
+        expected = reference.replicas[0]
+        expected.offered_rps = reference.offered_rps
+        assert_reports_identical(simulate_trace(
+            DESIGN, TINY_GQA, trace, **single_kwargs), expected)
 
     ids = Counter(record.request.req_id for record in report.records)
     assert ids == Counter(request.req_id for request in trace)
@@ -187,7 +207,7 @@ def test_cohort_stops_at_the_next_tick():
 
     def build():
         scaler = _Recorder()
-        return scaler, make_autoscaling_cluster(
+        return scaler, AutoscalingCluster(
             DESIGN, TINY_GQA, 1, autoscaler=scaler, tick_s=tick)
 
     scaler, fleet = build()

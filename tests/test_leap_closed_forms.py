@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from repro.arch import make_design
 from repro.llm import ModelConfig
 from repro.serve import (
+    AutoscalingCluster,
     LengthSpec,
     PrefixSpec,
     Request,
     ServingEngine,
-    make_autoscaling_cluster,
     make_cluster,
     make_scheduler,
     poisson_trace,
@@ -393,9 +393,9 @@ def test_numpy_scalar_arrivals_report_identically(runner):
             return make_cluster(design, TINY_GQA, 3,
                                 router="prefix-affinity",
                                 **PAGED).run(trace)
-        return make_autoscaling_cluster(design, TINY_GQA, 3,
-                                        autoscaler="reactive", tick_s=2.0,
-                                        **PAGED).run(trace)
+        return AutoscalingCluster(design, TINY_GQA, 3,
+                                  autoscaler="reactive", tick_s=2.0,
+                                  **PAGED).run(trace)
 
     trace = _trace()
     plain = run(trace)

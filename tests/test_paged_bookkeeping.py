@@ -36,6 +36,7 @@ from repro.serve import (
     LengthSpec,
     PrefixSpec,
     Request,
+    ServingCluster,
     ServingEngine,
     TenantSLO,
     make_scheduler,
@@ -575,7 +576,7 @@ def serve(policy, preemption, leap, trace, parent):
                         seq_len=512, batch=1, bits=4))
     engine = ServingEngine(make_design("mugi", 64), TINY_GQA, scheduler,
                            seq_len_bucket=16, leap=leap)
-    return engine.run(trace), scheduler
+    return ServingCluster([engine]).run(trace).replicas[0], scheduler
 
 
 def assert_same_schedule(policy, preemption, leap, seed):

@@ -19,6 +19,7 @@ from repro.serve import (
     SCHEDULERS,
     PrefixSpec,
     Request,
+    ServingCluster,
     ServingEngine,
     bursty_trace,
     make_scheduler,
@@ -199,7 +200,7 @@ class TestKVEdgeCases:
                                    kv_capacity_bytes=capacity_tokens(256))
         engine = ServingEngine(tiny_design(), TINY_GQA, scheduler)
         with pytest.raises(ConfigError, match="unservable trace"):
-            engine.run(good + [bad])
+            ServingCluster([engine]).run(good + [bad])
         assert scheduler.reserved_bytes == 0
 
     def test_request_over_context_window_rejected(self):
@@ -244,7 +245,7 @@ class TestKVEdgeCases:
             kv_capacity_bytes=capacity_tokens(3 * 2 * SHORT.high),
             block_size=8, chunk_tokens=32)
         engine = ServingEngine(tiny_design(), TINY_GQA, scheduler)
-        report = engine.run(trace)
+        report = ServingCluster([engine]).run(trace).replicas[0]
         assert report.completed == 20
         scheduler.block_manager.check_invariants()
         assert scheduler.block_manager.live_blocks == 0  # All released.

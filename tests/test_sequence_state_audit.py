@@ -29,6 +29,7 @@ from repro.serve import (
     PrefixSpec,
     Request,
     SequenceState,
+    ServingCluster,
     ServingEngine,
     make_scheduler,
     poisson_trace,
@@ -58,9 +59,9 @@ def _lists(scheduler) -> tuple[str, ...]:
 class _AuditingEngine(ServingEngine):
     """Checks the scheduler's state lists after every committed step."""
 
-    def start(self, offered_rps=0.0):
+    def start(self):
         self.tracked = {}
-        return super().start(offered_rps)
+        return super().start()
 
     def step(self, horizon=None) -> bool:
         stepped = super().step(horizon)
@@ -122,7 +123,7 @@ def test_random_traces_track_every_state_exactly_once(data):
                                **kwargs)
     engine = _AuditingEngine(_design(), TINY, scheduler,
                              seq_len_bucket=4)
-    report = engine.run(trace)
+    report = ServingCluster([engine]).run(trace).replicas[0]
 
     assert report.completed == n
     assert sorted(r.request.req_id for r in report.records) == \

@@ -26,10 +26,14 @@ from repro.llm import (
 from repro.serve import (
     SCHEDULERS,
     LengthSpec,
+    PrefixSpec,
     Request,
+    ServingCluster,
     ServingEngine,
+    TenantSpec,
     bursty_trace,
     make_scheduler,
+    multi_tenant_trace,
     offered_load_rps,
     poisson_trace,
     simulate_trace,
@@ -51,7 +55,7 @@ import math
 from repro.arch import make_design
 from repro.errors import ConfigError
 from repro.llm import ModelConfig
-from repro.serve import (Request, make_autoscaling_cluster, make_cluster,
+from repro.serve import (AutoscalingCluster, Request, make_cluster,
                          simulate_trace)
 
 config = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
@@ -61,7 +65,7 @@ design = make_design("mugi", 64)
 runners = {
     "engine": lambda t: simulate_trace(design, config, t),
     "cluster": lambda t: make_cluster(design, config, 2).run(t),
-    "fleet": lambda t: make_autoscaling_cluster(design, config, 2).run(t),
+    "fleet": lambda t: AutoscalingCluster(design, config, 2).run(t),
 }
 for name, run in runners.items():
     trace = [Request(req_id=i, arrival_s=0.0, prompt_len=8, output_len=4)
@@ -312,7 +316,7 @@ class TestSchedulerInvariants:
         scheduler = make_scheduler("continuous", TINY_GQA)
         engine = ServingEngine(tiny_design(), TINY_GQA, scheduler)
         with pytest.raises(ConfigError, match="unservable trace"):
-            engine.run(trace)
+            ServingCluster([engine]).run(trace)
         assert engine.scheduler.reserved_bytes == 0  # Nothing simulated.
 
     def test_unknown_policy(self):
@@ -461,7 +465,7 @@ class TestEngine:
         trace = steady_trace(n_requests=8, rate_rps=100.0,
                              prompt=LengthSpec("fixed", value=32),
                              output=LengthSpec("fixed", value=16))
-        report = engine.run(trace)
+        report = ServingCluster([engine]).run(trace).replicas[0]
         # Identical (bucketed) active sets collapse onto cached costs.
         assert report.steps > len(engine._step_cache)
 
@@ -472,7 +476,8 @@ class TestEngine:
         trace = poisson_trace(n_requests=20, rate_rps=2.0, prompt=SHORT,
                               output=SHORT, seed=4)
         scheduler = make_scheduler("continuous", TINY_GQA, kvq_bits=8)
-        report = ServingEngine(tiny_design(), TINY_GQA, scheduler).run(trace)
+        report = ServingCluster([ServingEngine(
+            tiny_design(), TINY_GQA, scheduler)]).run(trace).replicas[0]
         reference = simulate_trace(tiny_design(), TINY_GQA, trace,
                                    kvq_bits=8)
         four_bit = simulate_trace(tiny_design(), TINY_GQA, trace)
@@ -615,6 +620,56 @@ class TestTraceDeterminism:
     def test_steady_offered_load_exact(self):
         trace = steady_trace(n_requests=41, rate_rps=4.0)
         assert offered_load_rps(trace) == pytest.approx(4.0)
+
+    def test_prefix_draws_pinned(self):
+        """Shared-prefix columns of a seeded single-stream trace and of
+        a two-tenant trace (whose second tenant's groups start after
+        the first's), pinned exactly."""
+        prefix = PrefixSpec(share=0.6, n_groups=3,
+                            length=LengthSpec("uniform", low=4, high=12),
+                            dup_share=0.3)
+        prompt = LengthSpec("uniform", low=1, high=20)
+        output = LengthSpec("uniform", low=1, high=8)
+        columns = trace_columns(poisson_trace(
+            n_requests=10, rate_rps=2.0, prompt=prompt, output=output,
+            prefix=prefix, seed=3))
+        assert [c.tolist() for c in columns] == [
+            [0.0, 0.1948284367868519, 0.8945989158464711,
+             1.9946729637371612, 2.1664198733213222, 2.2953376348572627,
+             2.5126108918902696, 2.5639075269089746, 3.064388310388318,
+             3.09754233008046],
+            [14, 12, 18, 15, 13, 9, 26, 12, 8, 27],
+            [7, 8, 7, 3, 3, 6, 6, 6, 7, 3],
+            [0] * 10,
+            [2, 1, -1, 1, 2, -1, 0, -1, 1, 0],
+            [4, 4, 0, 4, 4, 0, 12, 0, 4, 12],
+            [0] * 10]
+        tenants = (
+            TenantSpec(tenant=0, rate_rps=3.0, prompt=prompt,
+                       output=output, prefix=prefix),
+            TenantSpec(tenant=1, rate_rps=2.0, prompt=prompt,
+                       output=output, prefix=PrefixSpec(
+                           share=0.5, n_groups=2,
+                           length=LengthSpec("fixed", value=6),
+                           dup_share=0.5)))
+        columns = trace_columns(multi_tenant_trace(tenants, duration_s=3.0,
+                                                   seed=9))
+        assert [c.tolist() for c in columns] == [
+            [0.23185394294532138, 0.33691009068703665,
+             0.4262227161424622, 0.4349416116047849, 0.6434174245739268,
+             0.7637866777850899, 1.0491483114258369, 1.0963025242444953,
+             1.260834451632792, 1.288788965046388, 1.574487670823256,
+             1.907397179601912, 2.174996547640329, 2.3461002652703264,
+             2.5079999197549503, 2.6151302371835032, 2.7243711137668782,
+             2.890629061352696],
+            [17, 13, 1, 6, 18, 12, 15, 26, 9, 18, 7, 8, 15, 1, 7, 18, 24,
+             12],
+            [6, 3, 4, 1, 6, 7, 4, 4, 1, 6, 7, 8, 2, 6, 7, 4, 6, 1],
+            [0] * 18,
+            [3, -1, -1, 4, -1, -1, 4, 2, 2, 3, 2, -1, -1, -1, -1, 1, 4,
+             -1],
+            [6, 0, 0, 6, 0, 0, 6, 7, 7, 6, 7, 0, 0, 0, 0, 5, 6, 0],
+            [1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0]]
 
 
 class TestExplicitGenerators:

@@ -34,6 +34,7 @@ from repro.serve import (
     LengthSpec,
     PrefixSpec,
     Request,
+    ServingCluster,
     ServingEngine,
     TenantSLO,
     make_cluster,
@@ -180,7 +181,7 @@ class TestLeapBitIdentity:
                                    **PAGED_KWARGS)
         engine = ServingEngine(make_design("mugi", 64), TINY_GQA,
                                scheduler, seq_len_bucket=16)
-        report = engine.run(trace)
+        report = ServingCluster([engine]).run(trace).replicas[0]
         assert report.leap_steps > 0
         scheduler.block_manager.check_invariants()
 

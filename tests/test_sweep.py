@@ -128,6 +128,15 @@ class TestSweepPoint:
         with pytest.raises(ConfigError):
             _point(policy="paged", chunk_tokens=-1)
 
+    def test_unknown_policy_fails_at_construction(self):
+        """The policy names a registered class, checked when the point
+        is built rather than when a worker runs it."""
+        for policy, extra in (("bogus", {}),
+                              ("paged-bogus", {"block_size": 16})):
+            with pytest.raises(ConfigError,
+                               match="unknown scheduler policy"):
+                _point(policy=policy, **extra)
+
     def test_parallelism_fields_validated(self):
         assert _point(tp=2).tp == 2
         with pytest.raises(ConfigError):
