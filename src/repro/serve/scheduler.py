@@ -454,8 +454,7 @@ class StaticBatchScheduler(ContinuousBatchScheduler):
 
 
 def scheduler_class(policy: str) -> type:
-    """The scheduler class registered as ``policy``: where a family
-    check (paged or peak reservation) reads the policy's kind."""
+    """The scheduler class registered as ``policy`` (its family)."""
     try:
         return SCHEDULERS[policy]
     except KeyError:
