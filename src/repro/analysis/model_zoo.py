@@ -23,27 +23,44 @@ from ..llm.nn import (
 FAMILIES = ("llama2", "whisper", "swinv2", "vivit")
 
 
-@lru_cache(maxsize=None)
+# Each getter passes its arguments positionally and in full to a cached
+# trainer: ``lru_cache`` keys on arguments as spelled, so
+# ``get_lm(steps=120)`` and ``get_lm(120, 2, 0)`` would otherwise train
+# the same model twice.
+
 def get_lm(steps: int = 250, n_layers: int = 2, seed: int = 0) -> TrainResult:
     """The decoder-LM stand-in (Llama-2 family): SiLU gated FFN, RMSNorm."""
+    return _trained_lm(steps, n_layers, seed)
+
+
+@lru_cache(maxsize=None)
+def _trained_lm(steps: int, n_layers: int, seed: int) -> TrainResult:
     cfg = TinyModelConfig(vocab_size=256, dim=64, n_layers=n_layers,
                           n_heads=4, ffn_dim=128, max_seq_len=128,
                           activation="silu")
     return train_lm(cfg, steps=steps, seed=seed)
 
 
-@lru_cache(maxsize=None)
 def get_encoder_decoder(steps: int = 200, seed: int = 0) -> TrainResult:
     """The encoder-decoder stand-in (Whisper family): GELU, LayerNorm."""
+    return _trained_encoder_decoder(steps, seed)
+
+
+@lru_cache(maxsize=None)
+def _trained_encoder_decoder(steps: int, seed: int) -> TrainResult:
     cfg = TinyModelConfig(vocab_size=128, dim=48, n_layers=2, n_heads=4,
                           ffn_dim=96, max_seq_len=64, activation="gelu")
     return train_encoder_decoder(cfg, steps=steps, seed=seed)
 
 
-@lru_cache(maxsize=None)
 def get_classifier(family: str = "swinv2", steps: int = 200,
                    seed: int = 0) -> TrainResult:
     """Classifier stand-ins: SwinV2 (short windows) / ViViT (long seq)."""
+    return _trained_classifier(family, steps, seed)
+
+
+@lru_cache(maxsize=None)
+def _trained_classifier(family: str, steps: int, seed: int) -> TrainResult:
     if family == "swinv2":
         cfg = TinyModelConfig(dim=48, n_layers=2, n_heads=4, ffn_dim=96,
                               max_seq_len=16, activation="gelu")

@@ -504,13 +504,15 @@ class StepCostSurface:
             "dense": {}, "decode": {}, "chunk": {}, "head": {}}
 
     # -- component pricing ----------------------------------------------
+    # Each builder prices one component and stores it: price_step reads
+    # the tables directly and calls a builder only on a miss.
     def _decode_component(self, seq_len: int, seqs: int) -> tuple:
         """Decode-attention component of ``seqs`` sequences at one
         context length."""
         return self._component(
             "decode", (seq_len, seqs),
-            lambda: _decode_attention_ops(self.config, seq_len, seqs,
-                                          self.kvq_bits))
+            _decode_attention_ops(self.config, seq_len, seqs,
+                                  self.kvq_bits))
 
     def _accumulate(self, ops) -> tuple:
         """(vector, macs) of an op sublist — the simulate_workload sums.
@@ -537,14 +539,13 @@ class StepCostSurface:
             macs += op_macs
         return vec, macs
 
-    def _component(self, table: str, key, builder) -> tuple:
+    def _component(self, table: str, key, ops) -> tuple:
+        """Price ``ops`` into ``table[key]`` and return the component."""
         cache = self._tables[table]
-        hit = cache.get(key)
-        if hit is None:
-            if len(cache) >= self.MAX_COMPONENTS:
-                cache.clear()
-            hit = cache[key] = self._accumulate(builder())
-        return hit
+        if len(cache) >= self.MAX_COMPONENTS:
+            cache.clear()
+        part = cache[key] = self._accumulate(ops)
+        return part
 
     # -- warm-start shipping --------------------------------------------
     def export_tables(self) -> dict:
@@ -579,24 +580,22 @@ class StepCostSurface:
         return installed
 
     def _dense(self, tokens: int) -> tuple:
-        config = self.config
+        config, bits = self.config, self.woq_bits
         return self._component(
             "dense", tokens,
-            lambda: [_qkv_op(config, tokens, self.woq_bits),
-                     _out_proj_op(config, tokens, self.woq_bits),
-                     *_ffn_ops(config, tokens, self.woq_bits)])
+            [_qkv_op(config, tokens, bits), _out_proj_op(config, tokens, bits),
+             *_ffn_ops(config, tokens, bits)])
 
     def _chunk(self, past: int, new: int, seqs: int) -> tuple:
-        def build():
-            qk_ops, softmax, pv_ops = _chunk_attention_ops(
-                self.config, past, new, seqs, self.kvq_bits)
-            return [*qk_ops, softmax, *pv_ops]
-        return self._component("chunk", (past, new, seqs), build)
+        qk_ops, softmax, pv_ops = _chunk_attention_ops(
+            self.config, past, new, seqs, self.kvq_bits)
+        return self._component("chunk", (past, new, seqs),
+                               [*qk_ops, softmax, *pv_ops])
 
     def _head(self, out_tokens: int) -> tuple:
         return self._component(
             "head", out_tokens,
-            lambda: [_lm_head_op(self.config, out_tokens, self.woq_bits)])
+            [_lm_head_op(self.config, out_tokens, self.woq_bits)])
 
     # -- signature pricing ----------------------------------------------
     def price_step(self, prefill_lens, decode_lens, chunk_hist):
@@ -610,55 +609,72 @@ class StepCostSurface:
         chunks that finish immediately — exactly the mapping the
         engine's op-list lowering applies — so both scheduler families
         price through one surface.
+
+        The fold is fixed, so equal signatures price bit for bit alike
+        on one interpreter.  Components sum in one list: the dense
+        block, then one decode group per distinct length in order of
+        first occurrence (``decode_lens`` may come unsorted; equal
+        lengths group by value, not by run), then one chunk pair per
+        distinct ``(past, new)`` in order of first occurrence, chunks
+        before whole prompts.  Each column is one builtin ``sum`` over
+        that list, scaled by ``n_layers``, plus the LM head; the totals
+        add the columns left to right.
         """
+        tables = self._tables
         n_decode = len(decode_lens)
-        batch = n_decode + len(prefill_lens) \
-            + sum(count for _, count in chunk_hist)
+        batch = tokens = out_tokens = n_decode
+        pairs = None
+        if chunk_hist or prefill_lens:
+            pairs = {}
+            for (past, new, finishes), count in chunk_hist:
+                key = (past, new)
+                pairs[key] = pairs.get(key, 0) + count
+                batch += count
+                tokens += new * count
+                if finishes:
+                    out_tokens += count
+            for prompt in prefill_lens:
+                key = (0, prompt)
+                pairs[key] = pairs.get(key, 0) + 1
+                tokens += prompt
+            batch += len(prefill_lens)
+            out_tokens += len(prefill_lens)
         if batch == 0:
             raise ConfigError("step needs at least one active sequence")
-        if chunk_hist or prefill_lens:
-            pairs: Counter = Counter()
-            n_finishing = 0
-            for (past, new, finishes), count in chunk_hist:
-                pairs[(past, new)] += count
-                if finishes:
-                    n_finishing += count
-            for prompt in prefill_lens:
-                pairs[(0, prompt)] += 1
-            n_finishing += len(prefill_lens)
-            out_tokens = n_decode + n_finishing
-            tokens = n_decode + sum(new * count
-                                    for (_, new), count in pairs.items())
-        else:
-            pairs = None
-            out_tokens = tokens = n_decode
 
-        part, macs = self._dense(tokens)
-        parts = [part]
-        # Counter preserves first-occurrence order, and decode_lens is
-        # sorted, so groups accumulate in ascending context order — the
-        # same order a per-group loop would use.
-        for seq_len, seqs in Counter(decode_lens).items():
-            part, part_macs = self._decode_component(seq_len, seqs)
-            parts.append(part)
-            macs += part_macs
-        if pairs is not None:
+        vec, macs = tables["dense"].get(tokens) or self._dense(tokens)
+        parts = [vec]
+        if n_decode:
+            groups: dict = {}
+            for seq_len in decode_lens:
+                groups[seq_len] = groups.get(seq_len, 0) + 1
+            table = tables["decode"]
+            for group in groups.items():
+                vec, part_macs = table.get(group) \
+                    or self._decode_component(*group)
+                parts.append(vec)
+                macs += part_macs
+        if pairs:
+            table = tables["chunk"]
             for (past, new), seqs in pairs.items():
-                part, part_macs = self._chunk(past, new, seqs)
-                parts.append(part)
+                vec, part_macs = table.get((past, new, seqs)) \
+                    or self._chunk(past, new, seqs)
+                parts.append(vec)
                 macs += part_macs
         n_layers = self.config.n_layers
+        macs *= n_layers
         # C-level column sums.  Up to Python 3.11, sum() folds left to
         # right from 0.0 exactly like an accumulate-in-order loop; from
         # 3.12 a float sum() is compensated, so a column can differ from
         # that loop in the last bits.
-        vec = [column_sum * n_layers
-               for column_sum in map(sum, zip(*parts))]
-        macs *= n_layers
         if self.include_lm_head and out_tokens > 0:
-            part, part_macs = self._head(out_tokens)
-            vec = [v + h for v, h in zip(vec, part)]
-            macs += part_macs
+            head, head_macs = tables["head"].get(out_tokens) \
+                or self._head(out_tokens)
+            vec = [column * n_layers + h
+                   for column, h in zip(map(sum, zip(*parts)), head)]
+            macs += head_macs
+        else:
+            vec = [column * n_layers for column in map(sum, zip(*parts))]
 
         tech = self.tech
         total_cycles = vec[0] + vec[1] + vec[2] + vec[3]

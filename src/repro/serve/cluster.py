@@ -89,7 +89,11 @@ class Replica:
     #: When it became routable (== spun_up_s for warm starts).
     ready_s: float = 0.0
     routed: int = 0
-    arrivals: list = field(default_factory=list)
+    #: First and last routed arrival times.  Arrivals reach a replica in
+    #: non-decreasing time (trace order, or migration-heap order), so
+    #: these bound its routed sub-stream.
+    first_arrival_s: float = field(default=0.0, init=False)
+    last_arrival_s: float = field(default=0.0, init=False)
     #: Completion records already folded into the cluster view.
     seen: int = 0
 
@@ -121,19 +125,20 @@ class Replica:
 _MIN_SPAN_S = 1e-9
 
 
-def _offered_rps(arrivals: list) -> float:
-    """Offered rate of one replica's routed sub-stream (0 if < 2).
+def _offered_rps(routed: int, first_s: float, last_s: float) -> float:
+    """Offered rate of a replica's ``routed`` arrivals, the first at
+    ``first_s`` and the last at ``last_s`` (0 if fewer than 2).
 
-    Degenerate same-instant streams report ``len(arrivals)`` over the
+    Degenerate same-instant streams report ``routed`` over the
     :data:`_MIN_SPAN_S` floor — enormous, as an instantaneous burst
     deserves, but finite.  Streams with a real span are unchanged.
     """
-    if len(arrivals) < 2:
+    if routed < 2:
         return 0.0
-    span = max(arrivals) - min(arrivals)
+    span = last_s - first_s
     if span < _MIN_SPAN_S:
-        return len(arrivals) / _MIN_SPAN_S
-    return (len(arrivals) - 1) / span
+        return routed / _MIN_SPAN_S
+    return (routed - 1) / span
 
 
 def build_engine(design, config, policy: str, max_batch: int,
@@ -299,7 +304,7 @@ class ServingCluster:
     def _start(self) -> None:
         """Open every replica's session, active at t=0."""
         for rep in self.replicas:
-            rep.routed, rep.arrivals, rep.seen = 0, [], 0
+            rep.routed, rep.seen = 0, 0
             self._activate(rep, 0.0)
 
     @staticmethod
@@ -416,7 +421,8 @@ class ServingCluster:
             self._booting.remove(rep)
             self._cold_start_seconds += t - rep.spun_up_s
         else:
-            rep.engine.report.offered_rps = _offered_rps(rep.arrivals)
+            rep.engine.report.offered_rps = _offered_rps(
+                rep.routed, rep.first_arrival_s, rep.last_arrival_s)
             self._reports.append(rep.engine.finish())
             self._routed_counts.append(rep.routed)
             self._makespan = max(self._makespan, t)
@@ -441,8 +447,10 @@ class ServingCluster:
         idle = not engine.has_work()
         engine.advance_to(now)
         engine.submit(request)
+        if not rep.routed:
+            rep.first_arrival_s = now
+        rep.last_arrival_s = now
         rep.routed += 1
-        rep.arrivals.append(now)
         if idle:
             heapq.heappush(self._clock, (engine.now, rep.index))
 
@@ -630,8 +638,10 @@ class ServingCluster:
                 engine.advance_to(arrival_t)
                 upto = bisect_right(times, engine.now, idx)
                 engine.scheduler.enqueue_many(pending[idx:upto])
+                if not lone.routed:
+                    lone.first_arrival_s = times[idx]
+                lone.last_arrival_s = times[upto - 1]
                 lone.routed += upto - idx
-                lone.arrivals += times[idx:upto]
                 idx = upto
                 if idle:
                     heapq.heappush(heap, (engine.now, 0))

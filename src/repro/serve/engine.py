@@ -50,9 +50,8 @@ one arrival stream, and a single engine is a one-replica cluster
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from operator import add
 
 from ..arch.simulator import SimulationResult
@@ -149,11 +148,13 @@ class ServingEngine:
         # Chunked prefill: past KV is bucketed like decode context; the
         # chunk itself is budget-sized and stays exact.  Whether a chunk
         # finishes matters because only finishing chunks cross the LM
-        # head.
-        chunks = () if not plan.chunks else tuple(sorted(Counter(
-            (-(-t.past // b) * b if t.past else 0, t.new, t.finishes)
-            for t in plan.chunks).items()))
-        return prefill, decode, chunks
+        # head.  The histogram counts runs of the sorted keys.
+        if not plan.chunks:
+            return prefill, decode, ()
+        keys = sorted([(-(-t.past // b) * b if t.past else 0, t.new,
+                        t.finishes) for t in plan.chunks])
+        return prefill, decode, tuple([(key, len(list(run)))
+                                       for key, run in groupby(keys)])
 
     def _step_cost(self, plan: StepPlan) -> SimulationResult:
         key = self._signature(plan)

@@ -102,6 +102,16 @@ class BlockManager:
         #: Refcount-0 prefix blocks retained for future hits (LRU order).
         self._cached: OrderedDict[int, tuple] = OrderedDict()
         self.stats = BlockPoolStats()
+        #: Pool mutation epoch: bumped by every change to the cached
+        #: pool (insert, attach, eviction, MRU move) or to the prefix
+        #: map.  Besides those two, a probe reads only the free-list
+        #: length, so :meth:`probe_admission` keeps its last walk in
+        #: :attr:`_probe_memo` and reuses it for the same request at an
+        #: unchanged epoch.
+        self._epoch = 0
+        #: ``(request, epoch, blocks, cached, slack, cow, held)`` of the
+        #: last probe, ``held`` counting its blocks in the cached pool.
+        self._probe_memo: tuple | None = None
 
     @classmethod
     def for_design(cls, design, config, capacity_bytes: float,
@@ -172,6 +182,7 @@ class BlockManager:
         del self._hash_of[block]
         del self._block_of[key]
         self.stats.evictions += 1
+        self._epoch += 1
         return block
 
     def _register(self, block: int, key: tuple) -> None:
@@ -179,11 +190,7 @@ class BlockManager:
         if key not in self._block_of:
             self._block_of[key] = block
             self._hash_of[block] = key
-
-    def _unregister(self, block: int) -> None:
-        key = self._hash_of.pop(block, None)
-        if key is not None:
-            del self._block_of[key]
+            self._epoch += 1
 
     # -- sequence lifecycle ----------------------------------------------
     def begin_sequence(self, seq_id: int, request: Request) -> int:
@@ -193,15 +200,25 @@ class BlockManager:
         resident blocks (live or cached) are attached with a refcount
         instead of allocated, and their tokens — capped at
         ``prompt_len - 1``, since the last prompt token is always
-        recomputed to produce logits — skip prefill compute.
+        recomputed to produce logits — skip prefill compute.  Opening
+        the queue head the last :meth:`probe_admission` walked, at an
+        unchanged epoch, takes that walk instead of repeating it.
         """
         if seq_id in self._table:
             raise ConfigError(f"sequence {seq_id} already has a table")
-        table = self._resident_prefix(request)
+        memo = self._probe_memo
+        if memo is not None and memo[0] is request \
+                and memo[1] == self._epoch:
+            table = memo[2]
+            self._probe_memo = None  # The walk is this sequence's table.
+        else:
+            table = self._resident_prefix(request)
+        cached_pool = self._cached
         for block in table:
-            if block in self._cached:
-                del self._cached[block]
+            if block in cached_pool:
+                del cached_pool[block]
                 self._ref[block] = 1
+                self._epoch += 1
             else:
                 self._ref[block] += 1
         self._table[seq_id] = table
@@ -244,21 +261,40 @@ class BlockManager:
         table order: an attach followed by :meth:`free_sequence` leaves
         them there, and the paged scheduler probes a blocked queue head
         every step, so eviction order depends on that refresh.
+
+        A probe of the request the last probe walked, at an unchanged
+        :attr:`_epoch`, reuses that walk: the prefix map and the cached
+        pool are as it left them, so the walk, the cached tokens, the
+        copy-on-write flag and the head's share of the cached pool are
+        too, and the refresh would move nothing (the head's blocks
+        already end the pool, in table order).  Only ``available`` is
+        recomputed, since free-list allocations bump no epoch.
         """
+        memo = self._probe_memo
+        if memo is not None and memo[0] is request \
+                and memo[1] == self._epoch:
+            _, _, _, cached, slack, cow, held = memo
+            available = len(self._free) + len(self._cached) - held
+            return cached, available, self._room(slack, available, cow)
         size = self.block_size
         blocks = self._resident_prefix(request)
         cached_pool = self._cached
-        available = len(self._free) + len(cached_pool)
+        held = 0
         for block in blocks:
             if block in cached_pool:
                 cached_pool.move_to_end(block)
-                available -= 1
+                held += 1
+        if held:
+            self._epoch += 1
         cached = min(len(blocks) * size, request.prompt_len - 1)
         slack = len(blocks) * size - cached
         # The capped prompt's last token may land in a block other
         # sequences hold (live before the attach): the first write
         # copies it.
         cow = slack > 0 and blocks[-1] not in cached_pool
+        self._probe_memo = (request, self._epoch, blocks, cached, slack,
+                            cow, held)
+        available = len(self._free) + len(cached_pool) - held
         return cached, available, self._room(slack, available, cow)
 
     def max_extend(self, seq_id: int) -> int:
@@ -415,6 +451,7 @@ class BlockManager:
                 if key is not None:
                     self._cached[block] = key
                     self._cached.move_to_end(block)
+                    self._epoch += 1
                 else:
                     self._free.append(block)
 

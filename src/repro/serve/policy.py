@@ -310,15 +310,18 @@ class PagedScheduler(Scheduler):
             prefill_target=request.prompt_len)
         state.queue_sort_key = self.queue_key(state)
         insort(self.waiting, state, key=_QUEUE_KEY)
-        self.outstanding_tokens += request.total_tokens
+        self.outstanding_tokens += request.prompt_len + request.output_len
         self.mutations += 1
 
     def has_work(self) -> bool:
         return bool(self.waiting or self.running or self.swapped)
 
-    def _free(self, state: PagedSequenceState) -> None:
-        """Free its blocks (prefix blocks stay cached for later hits)."""
-        self.block_manager.free_sequence(state.request.req_id)
+    def _free_cohort(self, states: list) -> None:
+        """Free their blocks in cohort order (prefix blocks stay cached
+        for later hits)."""
+        free_sequence = self.block_manager.free_sequence
+        for state in states:
+            free_sequence(state.request.req_id)
 
     # -- decode leaping ---------------------------------------------------
     def leap_window(self, plan: StepPlan, max_steps: int) -> int:

@@ -111,10 +111,11 @@ class Scheduler:
     request, after the context check) and ``_capacity_mask`` (the same
     check over a trace's total-token array, exact per request); queues
     a validated request in ``_enqueue_validated``, which also counts it
-    in :attr:`outstanding_tokens` and :attr:`mutations`; gives a
-    released state's KV back in ``_free``; defines ``has_work``,
-    ``plan_step`` and ``kv_utilization``; and overrides the leap hooks
-    where its own state bounds a leap.
+    in :attr:`outstanding_tokens` and :attr:`mutations` (and may queue a
+    validated cohort at once in ``_enqueue_cohort``); gives a released
+    cohort's KV back in ``_free_cohort``, in cohort order; defines
+    ``has_work``, ``plan_step`` and ``kv_utilization``; and overrides
+    the leap hooks where its own state bounds a leap.
 
     Parameters
     ----------
@@ -217,27 +218,51 @@ class Scheduler:
 
     def enqueue_many(self, requests: list[Request]) -> None:
         """Bulk :meth:`enqueue`: one vectorized validation pass, then
-        the usual per-request queue inserts."""
+        the family's ``_enqueue_cohort``.
+
+        The counters end where per-request :meth:`enqueue` calls would
+        leave them.  The peak-reservation family extends its queue and
+        bumps :attr:`outstanding_tokens` and :attr:`mutations` once; the
+        paged family still inserts request by request, since each insert
+        finds its own place in the policy-ordered queue (and fair share
+        advances a tenant's tag per request).
+        """
         error = self.trace_error(requests)
         if error:
             raise ConfigError(error)
+        self._enqueue_cohort(requests)
+
+    def _enqueue_cohort(self, requests: list[Request]) -> None:
         for request in requests:
             self._enqueue_validated(request)
 
     # -- release --------------------------------------------------------
     def release(self, state: SequenceState) -> None:
-        """Free a finished sequence's batch slot and KV."""
-        self.running.remove(state)
-        self._free(state)
-        self.outstanding_tokens -= \
-            state.request.total_tokens - state.generated
+        """Free a finished sequence's batch slot and KV: a cohort of
+        one."""
+        self.release_many([state])
 
     def release_many(self, states: list[SequenceState]) -> None:
-        """Free a completion cohort, one :meth:`release` per state in
-        cohort order (the order the paged free list, and so prefix
-        caching, sees)."""
-        for state in states:
-            self.release(state)
+        """Free a completion cohort in one pass.
+
+        The cohort leaves :attr:`running` in one filter that keeps the
+        survivors in order, and the family's ``_free_cohort`` gives its
+        KV back in cohort order: the paged free list, and so prefix
+        caching, sees that order, and ``reserved_bytes`` subtracts the
+        footprints in it.  Raises ValueError, changing nothing, when a
+        state is not running or is listed twice.
+        """
+        running = self.running
+        cohort = set(states)
+        survivors = [s for s in running if s not in cohort]
+        if len(survivors) + len(states) != len(running):
+            raise ValueError("release_many: every state must be running, "
+                             "and listed once")
+        running[:] = survivors
+        self._free_cohort(states)
+        self.outstanding_tokens -= sum([
+            s.request.prompt_len + s.request.output_len - s.generated
+            for s in states])
 
     def note_generated(self, tokens: int) -> None:
         """Engine hook: ``tokens`` were generated this step, shrinking
@@ -377,8 +402,14 @@ class ContinuousBatchScheduler(Scheduler):
 
     def _enqueue_validated(self, request: Request) -> None:
         self.queue.append(request)
-        self.outstanding_tokens += request.total_tokens
+        self.outstanding_tokens += request.prompt_len + request.output_len
         self.mutations += 1
+
+    def _enqueue_cohort(self, requests: list[Request]) -> None:
+        self.queue.extend(requests)
+        self.outstanding_tokens += sum([r.prompt_len + r.output_len
+                                        for r in requests])
+        self.mutations += len(requests)
 
     def _admit_all(self, now: float) -> list[SequenceState]:
         """Admit queue heads until slots or KV capacity run out.
@@ -409,10 +440,18 @@ class ContinuousBatchScheduler(Scheduler):
         self.running.extend(admitted)
         return admitted
 
-    def _free(self, state: SequenceState) -> None:
-        self.reserved_bytes -= self._footprint_of(state.request.total_tokens)
-        if not self.running:
-            self.reserved_bytes = 0.0  # Clear accumulated float dust.
+    def _free_cohort(self, states: list[SequenceState]) -> None:
+        """One footprint subtraction per state, in cohort order."""
+        footprints = self._footprints
+        reserved = self.reserved_bytes
+        for state in states:
+            total = state.request.prompt_len + state.request.output_len
+            footprint = footprints.get(total)
+            if footprint is None:
+                footprint = self._footprint_of(total)
+            reserved -= footprint
+        # An emptied batch clears accumulated float dust.
+        self.reserved_bytes = reserved if self.running else 0.0
 
     def kv_utilization(self) -> float:
         """Share of the KV budget held right now (0 when unbounded)."""

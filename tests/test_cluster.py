@@ -482,18 +482,18 @@ class TestOfferedRpsSpanFloor:
 
     def test_same_instant_burst_is_finite_not_inf(self):
         from repro.serve.cluster import _MIN_SPAN_S, _offered_rps
-        rate = _offered_rps([2.0, 2.0, 2.0])
+        rate = _offered_rps(3, 2.0, 2.0)
         assert rate == 3 / _MIN_SPAN_S
         assert rate != float("inf")
 
     def test_short_streams_report_zero(self):
         from repro.serve.cluster import _offered_rps
-        assert _offered_rps([]) == 0.0
-        assert _offered_rps([5.0]) == 0.0
+        assert _offered_rps(0, 0.0, 0.0) == 0.0
+        assert _offered_rps(1, 5.0, 5.0) == 0.0
 
     def test_real_spans_unchanged(self):
         from repro.serve.cluster import _offered_rps
-        assert _offered_rps([0.0, 5.0, 10.0]) == pytest.approx(0.2)
+        assert _offered_rps(3, 0.0, 10.0) == pytest.approx(0.2)
 
     def test_cluster_balance_survives_instant_burst(self):
         # Two same-instant requests pinned to one replica used to push

@@ -9,6 +9,10 @@ across the Table 2 designs, a NoC, sharded deployments, aliased and
 freshly built op lists.
 """
 
+import hashlib
+import random
+import sys
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
@@ -302,3 +306,153 @@ class TestSurfaceMatchesReference:
         surface, reference = SURFACES[name]
         assert_identical(surface.price_step(*signature),
                          reference.price_step(*signature))
+
+
+# -- price_step pinned bit for bit ----------------------------------------
+
+def pinned_signatures() -> list:
+    """A seeded signature set over every shape ``price_step`` takes.
+
+    Pure decode; whole-prompt prefills beside decode; chunk mixes with
+    finishing and non-finishing chunks, some beside whole prompts that
+    fold into the same ``(0, prompt)`` pair; and unsorted decode lengths
+    whose equal values are not adjacent (``price_step`` is public, and
+    groups them by value, not by run).
+    """
+    rng = random.Random(23)
+
+    def lengths(low, high):
+        return [32 * rng.randint(1, 128)
+                for _ in range(rng.randint(low, high))]
+
+    def chunks():
+        keys = {(32 * rng.randint(0, 16), rng.choice((96, 256, 768)),
+                 rng.random() < 0.5) for _ in range(rng.randint(1, 4))}
+        return tuple((key, rng.randint(1, 3)) for key in sorted(keys))
+
+    signatures = []
+    for _ in range(12):
+        signatures.append(((), tuple(sorted(lengths(1, 24))), ()))
+    for _ in range(12):
+        signatures.append((tuple(sorted(lengths(1, 3))),
+                           tuple(sorted(lengths(0, 16))), ()))
+    for _ in range(16):
+        prefill = tuple(sorted(lengths(1, 2))) if rng.random() < 0.3 \
+            else ()
+        signatures.append((prefill, tuple(sorted(lengths(0, 16))),
+                           chunks()))
+    for _ in range(8):
+        distinct = sorted(set(lengths(2, 6)))
+        decode = distinct + rng.sample(distinct, len(distinct))
+        signatures.append(((), tuple(decode),
+                           chunks() if rng.random() < 0.5 else ()))
+    # A whole prompt and a first chunk of the same length share a pair.
+    signatures.append(((256,), (64, 32, 64), (((0, 256, True), 1),
+                                              ((64, 96, False), 2))))
+    return signatures
+
+
+def reference_price_step(surface, prefill_lens, decode_lens, chunk_hist):
+    """``price_step``'s fold as it was built on two ``Counter``s: parts
+    in dense, decode-group, chunk-pair order, one ``sum`` per column,
+    the ``n_layers`` scale, then the head, then the totals."""
+    pairs = Counter()
+    out_tokens = len(decode_lens) + len(prefill_lens)
+    for (past, new, finishes), count in chunk_hist:
+        pairs[(past, new)] += count
+        out_tokens += count if finishes else 0
+    for prompt in prefill_lens:
+        pairs[(0, prompt)] += 1
+    parts = [surface._dense(len(decode_lens) + sum(
+        new * count for (_, new), count in pairs.items()))]
+    parts += [surface._decode_component(seq_len, seqs)
+              for seq_len, seqs in Counter(decode_lens).items()]
+    parts += [surface._chunk(past, new, seqs)
+              for (past, new), seqs in pairs.items()]
+    n_layers = surface.config.n_layers
+    vec = [column * n_layers
+           for column in map(sum, zip(*[v for v, _ in parts]))]
+    macs = sum(m for _, m in parts) * n_layers
+    head, head_macs = surface._head(out_tokens)
+    vec = [v + h for v, h in zip(vec, head)]
+    tech = surface.tech
+    return {
+        "tokens_per_step": len(decode_lens) + len(prefill_lens)
+        + sum(count for _, count in chunk_hist),
+        "compute_seconds": (vec[0] + vec[1] + vec[2] + vec[3])
+        * tech.cycle_seconds,
+        "memory_seconds": vec[9] / tech.hbm_bandwidth_bytes,
+        "dynamic_energy_j": (vec[4] + vec[5] + vec[6] + vec[7] + vec[8])
+        * 1e-12,
+        "cycles_by_kind": dict(zip(BREAKDOWN_KINDS,
+                                   vec[:4] + [vec[10] * tech.frequency_hz])),
+        "energy_by_kind": dict(zip(BREAKDOWN_KINDS, vec[4:9])),
+        "hbm_bytes": vec[9],
+        "total_macs": macs + head_macs,
+        "comm_seconds": vec[10],
+    }
+
+
+PINNED_DESIGNS = {
+    "mugi": lambda: make_design("mugi", 256),
+    "tp2": lambda: ShardedSystem(make_design("mugi", 128), LLAMA2_70B_GQA,
+                                 ParallelConfig(tp=2)),
+}
+
+#: sha256 over the ``repr`` of every field of every pinned signature's
+#: result, in field order, recorded with the Counter-based fold on
+#: Python 3.11.  3.12's compensated ``sum`` moves last bits, so the
+#: digests hold on the left-fold interpreters only;
+#: ``test_matches_reference_fold`` covers every interpreter.
+PINNED_DIGESTS = {
+    "mugi": "e78d3e2a7c47733c16adbda1d741f2aa"
+            "7eb43b166ed680426bb238be9027be5c",
+    "tp2": "5a0503901d9034b935d56a0fde414736"
+           "95753e1c589c12daf8cda456561d26ba",
+}
+
+
+def result_digest(results) -> str:
+    digest = hashlib.sha256()
+    for result in results:
+        for f in fields(SimulationResult):
+            digest.update(repr(getattr(result, f.name)).encode() + b"\0")
+    return digest.hexdigest()
+
+
+class TestPriceStepPinned:
+    """``price_step`` bit for bit.  ``test_serving_fastpath.py``
+    compares it with ``simulate_workload`` at 1e-12 relative, and
+    ``ReferenceSurface`` above inherits it, so neither would catch a
+    change in fold order."""
+
+    @pytest.mark.skipif(sys.version_info >= (3, 12),
+                        reason="recorded with a left-fold float sum()")
+    @pytest.mark.parametrize("name", sorted(PINNED_DESIGNS))
+    def test_digest(self, name):
+        surface = StepCostSurface(PINNED_DESIGNS[name](), LLAMA2_70B_GQA)
+        results = [surface.price_step(*signature)
+                   for signature in pinned_signatures()]
+        assert result_digest(results) == PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DESIGNS))
+    def test_matches_reference_fold(self, name):
+        surface = StepCostSurface(PINNED_DESIGNS[name](), LLAMA2_70B_GQA)
+        for signature in pinned_signatures():
+            got = surface.price_step(*signature)
+            for field_name, want in reference_price_step(
+                    surface, *signature).items():
+                value = getattr(got, field_name)
+                assert type(value) is type(want), field_name
+                assert repr(value) == repr(want), (field_name, signature)
+
+    def test_signatures_cover_every_shape(self):
+        signatures = pinned_signatures()
+        assert any(not p and not c for p, _, c in signatures)
+        assert any(p and not c for p, _, c in signatures)
+        assert any(c and any(f for (_, _, f), _ in c)
+                   and not all(f for (_, _, f), _ in c)
+                   for _, _, c in signatures)
+        assert any(list(d) != sorted(d) for _, d, _ in signatures)
+        sharded = StepCostSurface(PINNED_DESIGNS["tp2"](), LLAMA2_70B_GQA)
+        assert sharded.price_step(*signatures[0]).comm_seconds > 0

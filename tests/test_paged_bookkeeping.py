@@ -246,6 +246,99 @@ class TestAdmissionProbe:
         assert snapshot(manager) == snapshot(reference)
         manager.check_invariants()
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_memoized_probe_matches_a_fresh_walk(self, data):
+        """Two pools take the same random begin, extend, free, swap and
+        evict operations, with repeated probes of one queue head between
+        them (and now and then of another request, or the head's
+        admission).  The reference forgets its probe memo before every
+        call, so it always walks; results and every piece of pool state
+        — the cached pool's LRU order and the eviction count included —
+        must match after each operation."""
+        size = data.draw(st.sampled_from(BLOCK_SIZES))
+        n_blocks = data.draw(st.integers(1, 24))
+        memo, fresh = make_pool(n_blocks, size), make_pool(n_blocks, size)
+        resident, next_id = [], 0
+
+        def both(method, *args):
+            fresh._probe_memo = None
+            want = getattr(fresh, method)(*args)
+            assert getattr(memo, method)(*args) == want, method
+            assert snapshot(memo) == snapshot(fresh), method
+            return want
+
+        def draw_request():
+            nonlocal next_id
+            next_id += 1
+            return data.draw(prefix_requests(next_id - 1, size))
+
+        def open_sequence(request):
+            seq_id = request.req_id
+            cached = both("begin_sequence", seq_id, request)
+            chunk = min(data.draw(st.integers(0, request.prompt_len)),
+                        request.prompt_len - cached,
+                        memo.max_extend(seq_id))
+            if chunk > 0:
+                assert both("extend", seq_id, chunk)
+            resident.append(seq_id)
+
+        head = draw_request()
+        for _ in range(data.draw(st.integers(1, 40))):
+            kind = data.draw(st.sampled_from(
+                ["probe", "probe", "probe", "other", "admit", "open",
+                 "extend", "free", "swap", "evict"]))
+            if kind == "probe":
+                both("probe_admission", head)
+            elif kind == "other":
+                both("probe_admission", draw_request())
+            elif kind == "admit":
+                both("probe_admission", head)
+                open_sequence(head)
+                head = draw_request()
+            elif kind == "open":
+                open_sequence(draw_request())
+            elif resident:
+                seq_id = resident[data.draw(
+                    st.integers(0, len(resident) - 1))]
+                if kind == "extend":
+                    both("extend", seq_id, data.draw(
+                        st.integers(1, 2 * size)))
+                elif kind == "evict":
+                    # Past the free list: the pool evicts cached blocks.
+                    grow = min(memo.max_extend(seq_id),
+                               (memo.free_blocks + 1) * size)
+                    if grow > 0:
+                        assert both("extend", seq_id, grow)
+                elif kind == "free":
+                    both("free_sequence", seq_id)
+                    resident.remove(seq_id)
+                else:
+                    tokens = memo.tokens_of(seq_id)
+                    both("swap_out", seq_id)
+                    if both("swap_in", seq_id, tokens) is None:
+                        resident.remove(seq_id)
+        memo.check_invariants()
+
+    def test_evicting_the_heads_block_invalidates_its_walk(self):
+        manager = make_pool(4, 4)
+        # A two-block group-1 prefix, published and then cached.
+        manager.begin_sequence(0, Request(req_id=0, arrival_s=0.0,
+                                          prompt_len=8, output_len=4,
+                                          prefix_group=1, prefix_len=8))
+        assert manager.extend(0, 8)
+        manager.free_sequence(0)
+        head = Request(req_id=1, arrival_s=0.0, prompt_len=12,
+                       output_len=4, prefix_group=1, prefix_len=8)
+        assert manager.probe_admission(head) == (8, 2, 8)
+        # A private prompt takes both free blocks, then evicts the LRU
+        # cached block: the head's first prefix block.
+        manager.begin_sequence(2, Request(req_id=2, arrival_s=0.0,
+                                          prompt_len=12, output_len=4))
+        assert manager.extend(2, 12)
+        assert manager.stats.evictions == 1
+        assert manager.probe_admission(head) == (0, 1, 4)
+
     def probe_after_shared_prefix(self, free_after):
         """Two live holders of a 32-token group-7 prefix (block 16) and
         ``free_after`` free blocks left; the probe is a re-asked prompt

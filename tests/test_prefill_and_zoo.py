@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.model_zoo import get_lm
+from repro.analysis.model_zoo import get_lm, quick_lm
 from repro.arch import make_design, simulate_workload
 from repro.llm import LLAMA2_7B, build_decode_ops, build_prefill_ops
 
@@ -67,6 +67,12 @@ class TestModelZoo:
         a = get_lm(steps=120)
         b = get_lm(steps=120)
         assert a is b  # lru_cache returns the same trained instance.
+
+    def test_one_model_per_configuration_however_spelled(self):
+        # quick_lm() spells out n_layers and seed; the cache key must not
+        # depend on that, or the same 120-step model trains twice.
+        assert quick_lm() is get_lm(steps=120)
+        assert get_lm(120, 2, 0) is get_lm(steps=120)
 
     def test_different_steps_different_models(self):
         a = get_lm(steps=120)

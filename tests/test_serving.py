@@ -376,26 +376,70 @@ class TestSchedulerBase:
             assert batch.outstanding_tokens == 0 and batch.mutations == 0
 
     def test_release_many_frees_in_cohort_order(self):
-        """A cohort release is one release per state, in cohort order:
-        the paged free list, which decides the blocks later admissions
-        take, shows the order."""
+        """A cohort release ends where the per-state chain it replaced
+        ends: each state leaves ``running`` (the survivors keep their
+        order) and gives its KV back in cohort order.  The paged free
+        list and cached pool, which decide the blocks later admissions
+        take, show that order, and so does the peak family's
+        ``reserved_bytes``, compared bit for bit."""
+        for policy in ("continuous", "paged"):
+            self.check_cohort_release(policy)
+
+    @staticmethod
+    def check_cohort_release(policy):
+        paged = policy == "paged"
+
         def admitted():
-            scheduler = make_scheduler("paged", TINY_GQA, max_batch=4,
-                                       block_size=4)
-            for i in range(3):
+            scheduler = make_scheduler(policy, TINY_GQA, max_batch=4,
+                                       **({"block_size": 4} if paged
+                                          else {}))
+            for i in range(4):
                 scheduler.enqueue(Request(req_id=i, arrival_s=0.0,
                                           prompt_len=8 + 4 * i,
-                                          output_len=4))
+                                          output_len=4, prefix_group=i,
+                                          prefix_len=8))
             scheduler.plan_step(0.0)
             return scheduler
 
-        cohort, one_by_one = admitted(), admitted()
-        cohort.release_many(cohort.running[:2])
-        for state in one_by_one.running[:2]:
-            one_by_one.release(state)
-        assert [s.request.req_id for s in cohort.running] == [2]
-        assert cohort.block_manager._free == one_by_one.block_manager._free
-        assert cohort.outstanding_tokens == one_by_one.outstanding_tokens
+        def release_one_by_one(scheduler, states):
+            for state in states:
+                scheduler.running.remove(state)
+                request = state.request
+                if paged:
+                    scheduler.block_manager.free_sequence(request.req_id)
+                else:
+                    scheduler.reserved_bytes -= \
+                        scheduler._footprint_of(request.total_tokens)
+                    if not scheduler.running:
+                        scheduler.reserved_bytes = 0.0
+                scheduler.outstanding_tokens -= \
+                    request.total_tokens - state.generated
+
+        def view(scheduler):
+            seen = ([s.request.req_id for s in scheduler.running],
+                    scheduler.outstanding_tokens,
+                    repr(scheduler.reserved_bytes))
+            if paged:
+                manager = scheduler.block_manager
+                seen += (list(manager._free), list(manager._cached))
+            return seen
+
+        cohort, reference = admitted(), admitted()
+        assert cohort.reserved_bytes > 0
+        # Out of running order, with survivors on both sides.
+        cohort.release_many([cohort.running[2], cohort.running[0]])
+        release_one_by_one(reference,
+                           [reference.running[2], reference.running[0]])
+        assert [s.request.req_id for s in cohort.running] == [1, 3]
+        assert view(cohort) == view(reference)
+        # Then a cohort that empties the batch.
+        cohort.release_many(cohort.running[::-1])
+        release_one_by_one(reference, reference.running[::-1])
+        assert cohort.running == [] and view(cohort) == view(reference)
+        if paged:
+            assert len(cohort.block_manager._cached) == 8
+        else:
+            assert cohort.reserved_bytes == 0.0
 
     @pytest.mark.parametrize("policy", ["continuous", "static"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
