@@ -1,12 +1,17 @@
-"""Host-independent call budget for the gate's ``bulk-1m`` shape.
+"""Host-independent call budgets for two of the gate's serving shapes.
 
-Serves the ``bulk-1m`` point of ``gate.py`` (one continuous engine,
-batch 64, bucket 2048, a saturating Poisson trace whose admissions,
-completions and records come in whole cohorts) cut to
-:data:`REQUESTS` requests, twice in one process: the first run warms
-the step-cost store, and the second runs under cProfile.  Its total
-function-call count is compared with the budget in
-``BENCH_calls.json``.
+Each shape is a gate point cut to a few thousand requests, served twice
+in one process: the first run warms the step-cost store, and the second
+runs under cProfile.  Its total function-call count is compared with
+the shape's budget in ``BENCH_calls.json``.
+
+* ``bulk-1m`` (one continuous engine, batch 64, bucket 2048, a
+  saturating Poisson trace whose admissions, completions and records
+  come in whole cohorts) cut to 50,000 requests: per-request creep.
+  Its decode windows never cross a cost bucket.
+* ``bulk-100k`` (one continuous engine, batch 16, bucket 256) cut to
+  10,000 requests: decode windows cross cost buckets, so every leap
+  runs the engine's segment loop.
 
 Wall time on a shared host cannot tell a few per cent of per-request
 creep from noise, but a call count repeats exactly on one interpreter
@@ -16,11 +21,12 @@ change that adds a call per request or per step shows here at once.
 Usage::
 
     python benchmarks/call_budget.py --check    # CI (default)
-    python benchmarks/call_budget.py --record   # rewrite the budget
+    python benchmarks/call_budget.py --record   # rewrite the budgets
 
-``--check`` fails when the count exceeds the budget, and exits with an
-error on an interpreter other than the recorded one.  Re-record in the
-change that moves the count, and give both numbers in its notes.
+``--check`` fails when any shape's count exceeds its budget, and exits
+with an error on an interpreter other than the recorded one.
+Re-record in the change that moves a count, and give both numbers in
+its notes.
 """
 
 from __future__ import annotations
@@ -42,20 +48,20 @@ import gate  # noqa: E402
 from repro.serve.sweep import _resolve_design, _serve  # noqa: E402
 
 BUDGET_PATH = ROOT / "BENCH_calls.json"
-POINT = "bulk-1m"
-#: Requests the point is cut to: enough for thousands of completion
-#: cohorts, small enough for a CI step (a few seconds).
-REQUESTS = 50_000
+#: Gate point -> the requests it is cut to: enough for thousands of
+#: completion cohorts (or leap segments), small enough for a CI step.
+SHAPES = {"bulk-1m": 50_000, "bulk-100k": 10_000}
 
 
 def interpreter() -> str:
     return f"{sys.version_info.major}.{sys.version_info.minor}"
 
 
-def count_calls() -> int:
-    """cProfile calls of one warm serve of the cut point."""
-    point = gate._scenarios()[POINT]
-    point = replace(point, trace=replace(point.trace, n_requests=REQUESTS))
+def count_calls(name: str, requests: int) -> int:
+    """cProfile calls of one warm serve of gate point ``name`` cut to
+    ``requests`` requests."""
+    point = gate._scenarios()[name]
+    point = replace(point, trace=replace(point.trace, n_requests=requests))
     design = _resolve_design(point)
     trace = point.trace.realize()
     _serve(point, design, trace)
@@ -70,35 +76,50 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true",
-                      help="compare against the committed budget "
+                      help="compare against the committed budgets "
                            "(default)")
     mode.add_argument("--record", action="store_true",
                       help=f"rewrite {BUDGET_PATH.name} with this "
-                           f"interpreter's count")
+                           f"interpreter's counts")
     args = parser.parse_args(argv)
 
     if not args.record:
         budget = json.loads(BUDGET_PATH.read_text())
         if budget["python"] != interpreter():
-            parser.error(f"the budget was recorded on Python "
+            parser.error(f"the budgets were recorded on Python "
                          f"{budget['python']}; this is Python "
                          f"{interpreter()}, whose call counts differ")
-    calls = count_calls()
-    print(f"{POINT} cut to {REQUESTS} requests: {calls} calls "
-          f"(Python {interpreter()})")
+        stale = [name for name, requests in SHAPES.items()
+                 if budget["shapes"].get(name, {}).get("requests")
+                 != requests]
+        if stale:
+            parser.error(f"{BUDGET_PATH.name} has no budget for "
+                         f"{', '.join(stale)} at this size; re-record "
+                         f"with --record")
+    counts = {}
+    for name, requests in SHAPES.items():
+        counts[name] = count_calls(name, requests)
+        print(f"{name} cut to {requests} requests: {counts[name]} calls "
+              f"(Python {interpreter()})")
     if args.record:
         BUDGET_PATH.write_text(json.dumps(
-            {"point": POINT, "requests": REQUESTS, "python": interpreter(),
-             "calls": calls}, indent=2) + "\n")
-        print(f"budget written to {BUDGET_PATH}")
+            {"python": interpreter(),
+             "shapes": {name: {"requests": requests, "calls": counts[name]}
+                        for name, requests in SHAPES.items()}},
+            indent=2) + "\n")
+        print(f"budgets written to {BUDGET_PATH}")
         return 0
-    if calls > budget["calls"]:
-        print(f"FAIL: {calls - budget['calls']} calls over the budget of "
-              f"{budget['calls']}; a deliberate change re-records it with "
-              f"--record")
-        return 1
-    print(f"call budget passed: {calls} <= {budget['calls']}")
-    return 0
+    failed = False
+    for name, calls in counts.items():
+        shape = budget["shapes"][name]
+        if calls > shape["calls"]:
+            print(f"FAIL: {name} is {calls - shape['calls']} calls over "
+                  f"its budget of {shape['calls']}; a deliberate change "
+                  f"re-records it with --record")
+            failed = True
+        else:
+            print(f"{name} call budget passed: {calls} <= {shape['calls']}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

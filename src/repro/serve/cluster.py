@@ -332,7 +332,14 @@ class ServingCluster:
         routable replicas checks the half of each request it serves —
         by token total (a prefill half holds ``prompt_len + 1``, a
         decode half its origin's), building a half only to word an
-        error."""
+        error.
+
+        Routing then queues through the family's validated enqueue, with
+        no per-request re-check: a replica an elastic fleet boots later
+        is built by the same factory as the ones checked here, so it
+        admits exactly what they admit.  (:meth:`ServingEngine.submit`
+        and :meth:`Scheduler.enqueue` keep validating for external
+        callers.)"""
         n = len(pending)
         totals = np.fromiter((r.prompt_len + r.output_len for r in pending),
                              np.int64, n)
@@ -356,16 +363,7 @@ class ServingCluster:
     def _finish(self, trace: list, pending: list) -> ClusterReport:
         """Retire every replica at the last clock and merge the
         per-replica records into one report."""
-        if self._prefill_half:
-            raise ConfigError(f"{len(self._prefill_half)} migrated "
-                              f"requests never completed decode; "
-                              f"cluster bookkeeping is broken")
-        end_t = max([self._makespan] + [
-            rep.engine.now for rep in self.replicas
-            if rep.state in ("active", "draining")])
-        for rep in self.replicas:
-            if rep.state != "retired":
-                self._retire(rep, end_t)
+        self._retire_all()
         streams = [self._finals] if self.mode == "disaggregated" else \
             [report.records for report in self._reports]
         # By finish time, then request id (unique, so the order is total):
@@ -385,6 +383,19 @@ class ServingCluster:
             routed=self._routed_counts, migrations=self._n_migrations,
             kv_transfer_bytes=self._transfer_bytes,
             kv_transfer_seconds=self._transfer_seconds)
+
+    def _retire_all(self) -> None:
+        """Retire every replica still live, at the last clock."""
+        if self._prefill_half:
+            raise ConfigError(f"{len(self._prefill_half)} migrated "
+                              f"requests never completed decode; "
+                              f"cluster bookkeeping is broken")
+        end_t = max([self._makespan] + [
+            rep.engine.now for rep in self.replicas
+            if rep.state in ("active", "draining")])
+        for rep in self.replicas:
+            if rep.state != "retired":
+                self._retire(rep, end_t)
 
     def _report(self, **fields) -> ClusterReport:
         return ClusterReport(**fields)
@@ -446,7 +457,7 @@ class ServingCluster:
         engine = rep.engine
         idle = not engine.has_work()
         engine.advance_to(now)
-        engine.submit(request)
+        engine.scheduler._enqueue_validated(request)  # See _validate.
         if not rep.routed:
             rep.first_arrival_s = now
         rep.last_arrival_s = now
@@ -579,7 +590,8 @@ class ServingCluster:
         between them.  Routing can wake an idle replica whose clock
         then bounds the cohort (the commit callback shrinks it).  A
         fixed one-replica unified cluster routes nothing: each cohort
-        goes to its replica in one ``enqueue_many``.
+        goes to its replica in one validated ``_enqueue_cohort`` (the
+        whole trace was checked up front, :meth:`_validate`).
         """
         replicas = self.replicas
         heap = self._clock
@@ -637,7 +649,7 @@ class ServingCluster:
                 idle = not engine.has_work()
                 engine.advance_to(arrival_t)
                 upto = bisect_right(times, engine.now, idx)
-                engine.scheduler.enqueue_many(pending[idx:upto])
+                engine.scheduler._enqueue_cohort(pending[idx:upto])
                 if not lone.routed:
                     lone.first_arrival_s = times[idx]
                 lone.last_arrival_s = times[upto - 1]
@@ -708,6 +720,23 @@ def make_cluster(design, config, n_replicas: int,
                           interconnect=interconnect)
 
 
+class _EngineRun(ServingCluster):
+    """The one-replica cluster :func:`simulate_trace` serves its engine
+    through.  Its :meth:`run` returns the replica's own report, stamped
+    with the whole trace's offered rate, so no merged record list (two
+    whole-run sorts) is built only to be dropped."""
+
+    def _finish(self, trace: list, pending: list) -> ServingReport:
+        self._retire_all()
+        report = self._reports[0]
+        if len(report.records) != len(pending):
+            raise ConfigError(
+                f"engine completed {len(report.records)} of "
+                f"{len(pending)} requests; its bookkeeping lost records")
+        report.offered_rps = offered_load_rps(trace)
+        return report
+
+
 def simulate_trace(design, config, trace: list[Request],
                    policy: str = "continuous", max_batch: int = 16,
                    kv_capacity_bytes: float | None = None,
@@ -729,7 +758,4 @@ def simulate_trace(design, config, trace: list[Request],
                                **(scheduler_kwargs or {}))
     engine = ServingEngine(design, config, scheduler,
                            seq_len_bucket=seq_len_bucket, **engine_kwargs)
-    cluster = ServingCluster([engine]).run(trace)
-    report = cluster.replicas[0]
-    report.offered_rps = cluster.offered_rps
-    return report
+    return _EngineRun([engine]).run(trace)

@@ -27,12 +27,15 @@ cost surface (:class:`repro.llm.workload.StepCostSurface`) instead of
 re-walking a full operator list.
 
 On top of that sits **decode leaping**: when a step's active set is
-quiescent — pure decode, no completion, no ``seq_len_bucket`` crossing,
-and no arrival before the caller-provided horizon — :meth:`step` leaps
-the following K steps analytically: the committed step's cost is
-re-applied per leapt step with the exact same sequential float
-arithmetic the stepwise loop would use, KV/block growth lands in bulk
-(:meth:`repro.serve.Scheduler.commit_leap` /
+quiescent — pure decode, no completion, and no arrival before the
+caller-provided horizon — :meth:`step` leaps the following K steps
+analytically: every leapt step repeats the committed plan, and its cost
+is re-applied with the exact same sequential float arithmetic the
+stepwise loop would use.  A ``seq_len_bucket`` crossing inside the
+window changes only the step's cost, never its plan: the step at which
+a decoder enters a new bucket opens a *segment*, priced through the
+shared cache exactly like the replanned step it replaces.  KV/block
+growth lands in bulk (:meth:`repro.serve.Scheduler.commit_leap` /
 :meth:`repro.serve.BlockManager.extend_bulk`), and the per-step
 KV-utilization series is reconstructed exactly, so a leaping run's
 :class:`~repro.serve.ServingReport` is bit-identical to step-by-step
@@ -49,6 +52,7 @@ one arrival stream, and a single engine is a one-replica cluster
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from functools import reduce
 from itertools import accumulate, groupby, repeat
@@ -122,10 +126,11 @@ class ServingEngine:
         self._cache_misses = 0
         self._report: ServingReport | None = None
         self._now = 0.0
-        #: Pending leap remainder: ``(plan, cost, window, epoch, clock)``
-        #: left over when a pure-decode leap was cut by the horizon
-        #: rather than by the plan's own validity bound (see
-        #: :meth:`step`).
+        #: Pending leap remainder: ``(plan, cost, window, run, epoch,
+        #: clock)`` left over when a pure-decode leap was cut by the
+        #: horizon rather than by the plan's own validity bound: the
+        #: window's remaining steps, the first ``run`` of them at
+        #: ``cost`` (see :meth:`step` and :meth:`_leap`).
         self._resume = None
 
     # -- step lowering --------------------------------------------------
@@ -136,8 +141,8 @@ class ServingEngine:
         lengths (equivalent to a histogram, cheaper to build — this
         runs every planned step); the cost surface groups it on cache
         misses only.  The ceil-to-bucket rounding ``-(-x // b) * b`` is
-        inlined here and mirrored by :meth:`_leap_window`'s crossing
-        check — change them together.
+        inlined here and mirrored by :meth:`_leap`'s crossing checks and
+        segment signatures — change them together.
         """
         b = self.seq_len_bucket
         prefill = () if not plan.prefill else tuple(
@@ -156,8 +161,11 @@ class ServingEngine:
         return prefill, decode, tuple([(key, len(list(run)))
                                        for key, run in groupby(keys)])
 
-    def _step_cost(self, plan: StepPlan) -> SimulationResult:
-        key = self._signature(plan)
+    def _price(self, key: tuple) -> SimulationResult:
+        """The cost of a step with signature ``key`` (see
+        :meth:`_signature`), through the shared step cache: a planned
+        step, a decode leap's segment start and a leapt prefill chunk
+        all probe it the same way."""
         result = self._step_cache.get(key)
         if result is not None:
             self._cache_hits += 1
@@ -226,36 +234,39 @@ class ServingEngine:
 
         ``horizon`` is the caller's promise that no request will be
         submitted before that absolute time.  With a horizon, a
-        committed pure-decode step may *leap*: the engine repeats the
-        step's cost analytically for every following step that starts
-        before the horizon and cannot change the plan — no completion,
-        no ``seq_len_bucket`` crossing, and no scheduler-state event
+        committed pure-decode step may *leap* (:meth:`_leap`): the
+        engine repeats the plan analytically for every following step
+        that starts before the horizon and cannot change the plan — no
+        completion and no scheduler-state event
         (:meth:`Scheduler.leap_window`) — committing clock, energy,
         KV growth, and the utilization series exactly as the stepwise
-        loop would.  Without a horizon (the default) every call commits
-        exactly one step.
+        loop would.  A ``seq_len_bucket`` crossing changes only the
+        cost: its step is priced as the replanned step would be and
+        counts as a planned step.  Without a horizon (the default)
+        every call commits exactly one step.
 
         A leap the previous call cut at its horizon leaves the plan
-        provably valid for the window's remaining steps (no completion,
-        bucket crossing, or scheduler event occurs inside it, and
-        admission stays blocked — nothing arrived, or the resume is
-        dropped).  When nothing was submitted in between
-        (:attr:`Scheduler.mutations` unchanged) and the clock did not
-        move, this call *resumes* that leap instead of replanning: the
-        planned-step count collapses from one per foreign cluster event
-        to one per plan-changing event on this replica.  All physics
-        fields stay bit-identical to replanning (the elided plan would
-        have been identical and the accumulators advance with the same
-        sequential additions); only the diagnostic ``leap_steps`` /
-        step-cache counters attribute steps differently.
+        provably valid for the window's remaining steps (no completion
+        or scheduler event occurs inside it, and admission stays
+        blocked — nothing arrived, or the resume is dropped).  When
+        nothing was submitted in between (:attr:`Scheduler.mutations`
+        unchanged) and the clock did not move, this call *resumes* that
+        leap instead of replanning: the planned-step count collapses
+        from one per foreign cluster event to one per plan-changing
+        event on this replica.  All physics fields stay bit-identical
+        to replanning (the elided plan would have been identical and
+        the accumulators advance with the same sequential additions);
+        only the diagnostic ``leap_steps`` / step-cache counters
+        attribute steps differently.
         """
         resume = self._resume
         if resume is not None:
             self._resume = None
+            plan, cost, window, run, epoch, clock = resume
             if horizon is not None and self._now < horizon and \
-                    resume[3] == self.scheduler.mutations and \
-                    resume[4] == self._now:
-                self._resume_leap(resume, horizon)
+                    epoch == self.scheduler.mutations and \
+                    clock == self._now:
+                self._leap(plan, cost, horizon, window, run)
                 return True
         report = self._active_report()
         plan = self.scheduler.plan_step(self._now)
@@ -265,7 +276,7 @@ class ServingEngine:
         report.peak_kv_bytes = max(report.peak_kv_bytes,
                                    self.scheduler.reserved_bytes)
         report.kv_utilization.append(self.scheduler.kv_utilization())
-        cost = self._step_cost(plan)
+        cost = self._price(self._signature(plan))
         duration = cost.step_seconds + plan.swap_seconds
         self._now += duration
         now = self._now
@@ -327,102 +338,111 @@ class ServingEngine:
                 self._leap(plan, cost, horizon)
         return True
 
-    def _leap_window(self, decode: list) -> int:
-        """Steps after a committed pure-decode step with the same plan.
-
-        Bounded by the earliest completion (the completing step must
-        replan so releases and records land through the one stepwise
-        code path) and the earliest ``seq_len_bucket`` crossing (the
-        next bucket's signature needs a fresh cost); the scheduler then
-        shrinks the window to its own next state event.
-        """
-        bucket = self.seq_len_bucket
-        if bucket == 1:
-            return 0  # Exact mode: every step's signature is new.
-        window = None
-        for state in decode:
-            remaining = state.request.output_len - state.generated
-            # context_len was just incremented; the committed step
-            # planned at context_len - 1, and leapt step j plans at
-            # context_len + j - 1, which must share its cost bucket.
-            crossing = -(state.context_len - 1) % bucket
-            bound = remaining - 1 if remaining - 1 < crossing else crossing
-            if window is None or bound < window:
-                window = bound
-                if window <= 0:
-                    return 0
-        return window
-
     def _leap(self, plan: StepPlan, cost: SimulationResult,
-              horizon: float) -> None:
-        """Re-apply a committed pure-decode step analytically.
+              horizon: float, window: int = 0, run: int = 0) -> None:
+        """Leap the steps after a committed pure-decode step.
+
+        Every leapt step repeats the plan.  The window ends one step
+        before the earliest completion (the completing step must replan
+        so releases and records land through the one stepwise code
+        path), and the scheduler shrinks it to its own next state event
+        (:meth:`Scheduler.leap_window`).  A ``seq_len_bucket`` crossing
+        changes only the cost: each step at which a decoder enters a new
+        bucket opens a *segment*, priced through :meth:`_price` with the
+        get, put and hit or miss the replanned step would make, and
+        counted as a planned step; the other steps of a segment repeat
+        its cost.  A segment is at least that one step long.  (Cluster
+        replicas share the cache, and a segment start probes it when
+        its leap is taken, possibly before another replica probes the
+        same signature at an earlier simulated time: that replica then
+        hits where it would have missed, and this one misses where it
+        would have hit.  The cluster's totals are unchanged while the
+        LRU cache evicts nothing.)
 
         Every accumulator advances with the same sequential float
-        additions the stepwise loop performs (float addition does not
-        associate, and the reports must match bit for bit), but the
-        planning, pricing, and per-token KV allocation work is skipped —
-        the leap is what makes 100k-request traces tractable.
-        """
-        if not self.leap or plan.prefill or plan.chunks or \
-                plan.swap_seconds or not plan.decode:
-            return
-        window = self._leap_window(plan.decode)
-        if window > 0:
-            window = self.scheduler.leap_window(plan, window)
-        if window <= 0:
-            return
-        leapt = self._advance(cost.step_seconds,  # No swap inside a leap.
-                              cost.dynamic_energy_j, cost.comm_seconds,
-                              window, horizon)
-        if leapt < window:
-            # Cut by the horizon, not by the plan's validity: the
-            # remaining steps stay leapable once the caller's next
-            # horizon opens, provided nothing is submitted meanwhile.
-            self._resume = (plan, cost, window - leapt,
-                            self.scheduler.mutations, self._now)
-        if leapt:
-            self._commit_leap(plan, leapt)
+        additions the stepwise loop performs (:meth:`_advance`, one call
+        per segment), but the planning and per-token KV allocation work
+        is skipped: KV growth and the utilization series land once per
+        call, through the scheduler's closed forms.
 
-    def _commit_leap(self, plan: StepPlan, leapt: int) -> None:
-        """Commit ``leapt`` repeats of a pure-decode plan whose clock and
-        energy :meth:`_advance` already applied: KV growth and the
-        utilization series, step counters, and every decoder's tokens."""
-        report = self._report
-        report.kv_utilization.extend(
-            self.scheduler.commit_leap(plan, leapt))
-        report.peak_kv_bytes = max(report.peak_kv_bytes,
-                                   self.scheduler.reserved_bytes)
-        report.steps += leapt
-        report.leap_steps += leapt
-        for state in plan.decode:
-            state.generated += leapt
-            state.context_len += leapt
-        self.scheduler.note_generated(leapt * len(plan.decode))
-
-    def _resume_leap(self, resume: tuple, horizon: float) -> None:
-        """Continue a horizon-cut leap without replanning.
-
-        Safety chain (each point pins the elided replan to the resumed
-        plan): the window bound guarantees no sequence completes or
-        crosses a cost bucket inside it; in a pure-decode window
-        admission stays monotonically blocked for every scheduler
-        (reservations and ``running`` are unchanged, a paged pool's
-        available blocks only shrink, and blocked swap-ins stay
-        blocked); the anchor plan's admission probe already moved the
-        blocked head's cached prefix blocks to MRU, so eliding the
+        Called with a ``window``, this resumes a leap the previous call
+        cut at its horizon: ``window`` steps remain, the first ``run`` of
+        them at ``cost`` (none: the next step opens a segment).  Safety
+        chain (each point pins the elided replan to the resumed plan):
+        the window bound guarantees no sequence completes inside it; in
+        a pure-decode window admission stays monotonically blocked for
+        every scheduler (reservations and ``running`` are unchanged, a
+        paged pool's available blocks only shrink, and blocked swap-ins
+        stay blocked); the anchor plan's admission probe already moved
+        the blocked head's cached prefix blocks to MRU, so eliding the
         repeat probes leaves the LRU order identical (no eviction can
         occur inside the window); and the paged window was sized so the
         whole leap's block demand fits the free list, so the remainder
-        cannot preempt.  The committed arithmetic is the same
-        sequential accumulation :meth:`_leap` performs — splitting one
-        window across calls lands on identical floats.
+        cannot preempt.  Splitting one window across calls lands on
+        identical floats.
         """
-        plan, cost, window, epoch, _ = resume
-        leapt = self._advance(cost.step_seconds, cost.dynamic_energy_j,
-                              cost.comm_seconds, window, horizon)
-        if leapt < window:
-            self._resume = (plan, cost, window - leapt, epoch, self._now)
-        self._commit_leap(plan, leapt)
+        decode = plan.decode
+        b = self.seq_len_bucket
+        if not window:
+            if not self.leap or b == 1 or plan.prefill or plan.chunks or \
+                    plan.swap_seconds or not decode:
+                return  # Exact mode (b == 1): every signature is new.
+            # One pass: the steps before the earliest completion, and
+            # before the earliest bucket crossing (the first segment).
+            # context_len was just incremented: the committed step
+            # planned at context_len - 1, and leapt step j plans at
+            # context_len + j - 1.
+            window, run = math.inf, b
+            for state in decode:
+                left = state.request.output_len - state.generated - 1
+                if left < window:
+                    if left <= 0:
+                        return
+                    window = left
+                crossing = -(state.context_len - 1) % b
+                if crossing < run:
+                    run = crossing
+            window = self.scheduler.leap_window(plan, window)
+            if window <= 0:
+                return
+        done = priced = 0  # Steps leapt, and segment starts among them.
+        while True:
+            take = run if run < window - done else window - done
+            if take:
+                leapt = self._advance(cost.step_seconds,  # No swap here.
+                                      cost.dynamic_energy_j,
+                                      cost.comm_seconds, take, horizon)
+                done += leapt
+                run -= leapt
+                if leapt < take:
+                    break  # Cut by the horizon inside a segment.
+            if done == window or self._now >= horizon:
+                break  # The window's end, or a cut at a segment start.
+            # Step done + 1 opens a segment: it plans at context_len +
+            # done, and its segment lasts until a decoder crosses again.
+            contexts = [s.context_len + done for s in decode]
+            cost = self._price(((), tuple(sorted(
+                [-(-c // b) * b for c in contexts])), ()))
+            run = 1 + min([-c % b for c in contexts])
+            priced += 1
+        if done < window:
+            # Cut by the horizon, not by the plan's validity: the
+            # remaining steps stay leapable once the caller's next
+            # horizon opens, provided nothing is submitted meanwhile.
+            self._resume = (plan, cost, window - done, run,
+                            self.scheduler.mutations, self._now)
+        if done:
+            report = self._report
+            scheduler = self.scheduler
+            report.kv_utilization.extend(scheduler.commit_leap(plan, done))
+            report.peak_kv_bytes = max(report.peak_kv_bytes,
+                                       scheduler.reserved_bytes)
+            report.steps += done
+            report.leap_steps += done - priced
+            for state in decode:
+                state.generated += done
+                state.context_len += done
+            scheduler.note_generated(done * len(decode))
 
     def _advance(self, duration: float, energy: float, comm: float,
                  window: int, horizon: float) -> int:
@@ -489,14 +509,8 @@ class ServingEngine:
         leapt = 0
         while leapt < window and self._now < horizon:
             past = past0 + leapt * chunk
-            key = ((), (), (((-(-past // b) * b, chunk, False), 1),))
-            cost = self._step_cache.get(key)
-            if cost is not None:
-                self._cache_hits += 1
-            else:
-                self._cache_misses += 1
-                cost = self._surface.price_step(*key)
-                self._step_cache.put(key, cost)
+            cost = self._price(
+                ((), (), (((-(-past // b) * b, chunk, False), 1),)))
             duration = cost.step_seconds
             self._now += duration
             report.energy_j += cost.dynamic_energy_j

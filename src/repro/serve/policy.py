@@ -327,8 +327,8 @@ class PagedScheduler(Scheduler):
     def leap_window(self, plan: StepPlan, max_steps: int) -> int:
         """Shrink the engine's leap window to what the pool can supply.
 
-        Beyond the engine's completion/bucket/arrival bounds, two paged
-        concerns cap a leap:
+        Beyond the engine's completion bound and the arrival horizon,
+        two paged concerns cap a leap:
 
         * **block supply** — every leapt step extends every decoder by
           one token, and an allocation failure mid-window would trigger

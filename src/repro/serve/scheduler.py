@@ -300,9 +300,12 @@ class Scheduler:
         Called by :meth:`repro.serve.ServingEngine.step` after it has
         committed a pure-decode step (no prefills, no chunks, no swap
         time, no completions) and bounded the window by the next
-        completion, ``seq_len_bucket`` crossing, and arrival horizon.
-        The scheduler shrinks the window to the next step at which its
-        *own* state could change the plan.
+        completion.  A ``seq_len_bucket`` crossing changes only the
+        step's cost, never its plan, so it does not bound the window
+        (the engine prices each crossing inside it), and the arrival
+        horizon cuts the window only as it is leapt.  The scheduler
+        shrinks the window to the next step at which its *own* state
+        could change the plan.
 
         The default keeps the engine bound, which is exact for peak
         reservation: admission depends only on ``reserved_bytes``, the

@@ -28,6 +28,7 @@ from repro.serve import (
     make_cluster,
     make_router,
     make_scheduler,
+    offered_load_rps,
     poisson_trace,
     simulate_trace,
 )
@@ -203,6 +204,18 @@ class TestConservation:
         assert report.routed == [25]
         assert report.completed == 25
 
+    def test_simulate_trace_merges_no_records(self, monkeypatch):
+        """A lone engine's run returns the engine's own report, so no
+        merged cluster report is built."""
+        def refuse(self, **fields):
+            raise AssertionError("a one-engine run built a ClusterReport")
+
+        monkeypatch.setattr(ServingCluster, "_report", refuse)
+        trace = tiny_trace(n=20)
+        report = simulate_trace(tiny_design(), TINY_GQA, trace)
+        assert report.completed == 20
+        assert report.offered_rps == offered_load_rps(trace)
+
     def test_disaggregated_conserves_output_tokens(self):
         trace = tiny_trace(n=30)
         report = tiny_cluster(4, mode="disaggregated").run(trace)
@@ -354,10 +367,63 @@ class TestClusterValidation:
             tiny_cluster(policy="continuous").run([bad])
 
     def test_unservable_trace_fails_fast(self):
-        bad = Request(req_id=0, arrival_s=0.0, prompt_len=1500,
+        """The up-front check words the error, on every run path."""
+        from repro.serve import AutoscalingCluster
+
+        bad = Request(req_id=10, arrival_s=0.5, prompt_len=1500,
                       output_len=1500)
-        with pytest.raises(ConfigError, match="unservable"):
-            tiny_cluster().run([bad])
+        trace = tiny_trace(n=10) + [bad]
+        expected = ("unservable trace: request 10 needs 3000 context "
+                    "tokens, over Tiny-GQA's max_seq_len 2048")
+        for run in (lambda: tiny_cluster(3).run(trace),
+                    lambda: simulate_trace(tiny_design(), TINY_GQA, trace),
+                    lambda: AutoscalingCluster(
+                        tiny_design(), TINY_GQA, 2,
+                        autoscaler="reactive").run(trace)):
+            with pytest.raises(ConfigError) as error:
+                run()
+            assert str(error.value) == expected
+
+    def test_routing_does_not_revalidate(self, monkeypatch):
+        """Every path checks the whole trace once, up front: routed
+        arrivals, lone-replica cohorts, KV migrations and the arrivals a
+        later-booted replica takes are never checked again."""
+        from repro.serve import AutoscalingCluster, ColdStartConfig, \
+            Scheduler
+
+        checks = []
+        for name in ("admission_error", "trace_error"):
+            method = getattr(Scheduler, name)
+
+            def counted(self, arg, name=name, method=method):
+                checks.append(name)
+                return method(self, arg)
+
+            monkeypatch.setattr(Scheduler, name, counted)
+        trace = tiny_trace(n=30)
+        fleet = AutoscalingCluster(
+            tiny_design(), TINY_GQA, 3,
+            autoscaler=_ScriptedScaler([1, 3, 3, 3, 1, 1]).scaler,
+            router="least-outstanding", policy="paged", tick_s=0.1,
+            cold_start=ColdStartConfig(provision_s=0.1))
+        reports = [
+            tiny_cluster(3).run(trace),
+            tiny_cluster(1).run(trace),
+            simulate_trace(tiny_design(), TINY_GQA, trace),
+            tiny_cluster(2, mode="disaggregated").run(trace),
+            fleet.run(_lifecycle_trace(trickle_start=0.05,
+                                       trickle_step=0.05, n_trickle=20)),
+        ]
+        assert reports[3].migrations > 0
+        assert fleet.n_replicas == 3 and reports[4].cold_starts > 0
+        assert checks == []
+        # External ingest still validates.
+        engine = ServingEngine(tiny_design(), TINY_GQA,
+                               make_scheduler("continuous", TINY_GQA))
+        engine.start()
+        engine.submit(_request())
+        engine.scheduler.enqueue_many([_request(req_id=1)])
+        assert checks == ["admission_error", "trace_error"]
 
     def test_disaggregated_halves_word_their_own_errors(self):
         """Each half is checked at its own token total: a long prompt

@@ -14,6 +14,7 @@ Also covered here: the shared, LRU-bounded step-cost cache
 ``outstanding_tokens`` counters.
 """
 
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -221,6 +222,240 @@ class TestClusterLeapBitIdentity:
         assert fast.kv_transfer_seconds == slow.kv_transfer_seconds
         for fr, sr in zip(fast.replicas, slow.replicas):
             assert_reports_identical(fr, sr)
+
+
+def count_plans(scheduler) -> list:
+    """Count ``scheduler``'s ``plan_step`` calls in a one-item list."""
+    calls = [0]
+    plan_step = scheduler.plan_step
+
+    def counted(now):
+        calls[0] += 1
+        return plan_step(now)
+
+    scheduler.plan_step = counted
+    return calls
+
+
+def diagnostics(report) -> tuple:
+    return (report.steps, report.leap_steps, report.step_cache_hits,
+            report.step_cache_misses)
+
+
+class ReplanningEngine(ServingEngine):
+    """Reference engine whose decode leaps stop at the first bucket
+    crossing, so the crossing step is planned afresh: one segment per
+    leap, and the scheduler asked once per segment."""
+
+    def _leap(self, plan, cost, horizon, window=0, run=0):
+        if not window:
+            b = self.seq_len_bucket
+            if not self.leap or b == 1 or plan.prefill or plan.chunks or \
+                    plan.swap_seconds or not plan.decode:
+                return
+            bound = min(min(s.request.output_len - s.generated - 1,
+                            -(s.context_len - 1) % b) for s in plan.decode)
+            if bound <= 0:
+                return
+            window = run = self.scheduler.leap_window(plan, bound)
+            if window <= 0:
+                return
+        super()._leap(plan, cost, horizon, window, run)
+
+
+class TestLeapSegments:
+    """A decode leap runs across ``seq_len_bucket`` crossings: the step
+    at which a decoder enters a new bucket opens a segment, priced like
+    the replanned step it replaces.  The leap ≡ stepwise diffs above
+    skip the diagnostic counters, so these runs pin them: ``steps``,
+    ``leap_steps`` and the step-cache hits and misses at the values an
+    engine that replans at every crossing records, and the
+    ``plan_step`` calls at the lower count that segments leave."""
+
+    @staticmethod
+    def _long_decodes(leap=True):
+        """An engine holding two long decoders that cross buckets at
+        different steps (contexts 31 and 46 after prefill, bucket 32)."""
+        scheduler = make_scheduler("continuous", TINY_GQA, max_batch=4)
+        engine = ServingEngine(make_design("mugi", 64), TINY_GQA,
+                               scheduler, seq_len_bucket=32, leap=leap)
+        engine.start()
+        engine.submit(Request(req_id=0, arrival_s=0.0, prompt_len=30,
+                              output_len=200))
+        engine.submit(Request(req_id=1, arrival_s=0.0, prompt_len=45,
+                              output_len=150))
+        return engine, count_plans(scheduler)
+
+    @staticmethod
+    def _drain(engine, horizon=None):
+        while engine.has_work():
+            assert engine.step(horizon)
+        return engine.finish()
+
+    def _step_ends(self) -> list:
+        """End clocks of the stepwise run's steps: step 1 prefills, step
+        2 anchors the leap, and decoder 0 enters bucket 64 at step 4,
+        whose segment lasts to step 20."""
+        engine, _ = self._long_decodes(leap=False)
+        ends = []
+        while engine.has_work():
+            engine.step()
+            ends.append(engine.now)
+        return ends
+
+    @pytest.mark.parametrize("cut, run", [(2, 0), (4, 15)],
+                             ids=["segment-start", "mid-segment"])
+    def test_a_cut_window_resumes_like_an_uncut_one(self, cut, run):
+        """A horizon cut at a segment start leaves the resume to price
+        it; one inside a segment resumes at that segment's cost.  Either
+        way the split window replans nothing and counts every step,
+        probe and hit as the uncut window does."""
+        ends = self._step_ends()
+        whole, whole_plans = self._long_decodes()
+        uncut = self._drain(whole, math.inf)
+        engine, plans = self._long_decodes()
+        engine.step()
+        engine.step(horizon=ends[cut])  # Step cut + 2 starts at it.
+        assert engine.now == ends[cut]
+        assert engine._resume[2:4] == (148 - cut, run)
+        report = self._drain(engine, math.inf)
+        assert plans[0] == whole_plans[0] == 5  # Replanning: 17.
+        assert_reports_identical(report, uncut)
+        assert diagnostics(report) == diagnostics(uncut) == \
+            (200, 183, 2, 15)
+        slow, _ = self._long_decodes(leap=False)
+        assert_reports_identical(report, self._drain(slow))
+
+    def test_a_submission_after_a_cut_drops_the_resume(self):
+        ends = self._step_ends()
+        engine, plans = self._long_decodes()
+        engine.step()
+        engine.step(horizon=ends[2])
+        assert engine._resume is not None
+        late = Request(req_id=2, arrival_s=ends[2], prompt_len=20,
+                       output_len=10)
+        engine.submit(late)
+        planned = plans[0]
+        assert engine.step(math.inf)
+        assert plans[0] == planned + 1  # Replanned: the late one prefills.
+        assert engine.scheduler.running[-1].request is late
+        report = self._drain(engine, math.inf)
+        assert diagnostics(report) == (200, 180, 3, 17)
+        assert plans[0] == 9  # Replanning at every crossing: 20.
+        slow, _ = self._long_decodes(leap=False)
+        for _ in range(3):
+            slow.step()
+        slow.submit(late)
+        assert_reports_identical(report, self._drain(slow))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           policy=st.sampled_from(["continuous", "static", "paged",
+                                   "paged-preemptive", "paged-fair-share"]),
+           bucket=st.sampled_from([4, 16, 32]),
+           replicas=st.sampled_from([1, 2]),
+           n_requests=st.integers(5, 30))
+    def test_property_matches_replanning_at_crossings(
+            self, seed, policy, bucket, replicas, n_requests):
+        """Against an engine that replans every crossing step: a single
+        engine keeps every report field, counters included.  Replicas
+        share one step cache, and a segment start is priced when its
+        leap is taken, which can precede another replica's probe of the
+        same signature at an earlier simulated time: so in a cluster
+        each replica keeps every other field, and the cluster keeps its
+        hit and miss totals, but a hit may be credited to the other
+        replica."""
+        trace = policy_trace(policy, n_requests, seed)
+        paged = policy.startswith("paged")
+        kwargs = dict(PAGED_KWARGS, kv_capacity_bytes=PAGED_CAPACITY) \
+            if paged else {}
+        if policy in TENANT_POLICIES:
+            kwargs["slos"] = TENANT_SLOS
+
+        def run(engine_class):
+            design = make_design("mugi", 64)
+            engines = [engine_class(
+                design, TINY_GQA,
+                make_scheduler(policy, TINY_GQA, max_batch=6, **kwargs),
+                seq_len_bucket=bucket) for _ in range(replicas)]
+            plans = [count_plans(e.scheduler) for e in engines]
+            report = ServingCluster(engines,
+                                    router="least-outstanding").run(trace)
+            return report, sum(calls[0] for calls in plans)
+
+        (fast, fast_plans), (ref, ref_plans) = \
+            run(ServingEngine), run(ReplanningEngine)
+        assert fast.records == ref.records
+        assert fast.makespan_s == ref.makespan_s
+        for fr, rr in zip(fast.replicas, ref.replicas, strict=True):
+            assert_reports_identical(fr, rr)
+            assert (fr.steps, fr.leap_steps) == (rr.steps, rr.leap_steps)
+        if replicas == 1:
+            assert diagnostics(fast.replicas[0]) == \
+                diagnostics(ref.replicas[0])
+        assert (fast.step_cache_hits, fast.step_cache_misses) == \
+            (ref.step_cache_hits, ref.step_cache_misses)
+        assert fast_plans <= ref_plans
+
+    def test_engine_counters_pinned(self):
+        trace = poisson_trace(n_requests=40, rate_rps=8.0,
+                              prompt=LengthSpec("uniform", low=4, high=80),
+                              output=LengthSpec("uniform", low=100,
+                                                high=400), seed=5)
+        scheduler = make_scheduler("continuous", TINY_GQA, max_batch=6)
+        engine = ServingEngine(make_design("mugi", 64), TINY_GQA,
+                               scheduler, seq_len_bucket=32)
+        plans = count_plans(scheduler)
+        report = ServingCluster([engine]).run(trace).replicas[0]
+        assert diagnostics(report) == (2485, 2076, 38, 371)
+        assert plans[0] == 141  # Replanning at every crossing: 409.
+        assert_reports_identical(report, simulate_trace(
+            make_design("mugi", 64), TINY_GQA, trace, policy="continuous",
+            max_batch=6, seq_len_bucket=32, leap=False))
+
+    def test_fair_share_cluster_counters_pinned(self):
+        """Two paged fair-share replicas: each replica's leaps are cut by
+        the other's arrivals, at segment starts and inside segments."""
+        trace = poisson_trace(
+            n_requests=50, rate_rps=6.0,
+            prompt=LengthSpec("uniform", low=4, high=80),
+            output=LengthSpec("uniform", low=60, high=300),
+            prefix=PrefixSpec(share=0.5, n_groups=3,
+                              length=LengthSpec("fixed", value=48),
+                              dup_share=0.3), seed=9)
+        trace = [replace(r, tenant=r.req_id % 2) for r in trace]
+
+        def build(leap):
+            return make_cluster(
+                make_design("mugi", 64), TINY_GQA, 2,
+                policy="paged-fair-share", router="least-outstanding",
+                max_batch=8, seq_len_bucket=32, leap=leap,
+                kv_capacity_bytes=TINY_GQA.kv_cache_bytes(
+                    seq_len=1600, batch=1, bits=4),
+                scheduler_kwargs={"block_size": 16, "chunk_tokens": 64,
+                                  "slos": TENANT_SLOS})
+
+        cluster = build(True)
+        plans, cuts = [], []
+        for rep in cluster.replicas:
+            plans.append(count_plans(rep.engine.scheduler))
+            engine, leap = rep.engine, rep.engine._leap
+
+            def spied(*args, engine=engine, leap=leap):
+                leap(*args)
+                if engine._resume is not None:
+                    cuts.append(engine._resume[3])
+
+            engine._leap = spied
+        report = cluster.run(trace)
+        assert 0 in cuts and any(run > 0 for run in cuts)
+        assert [diagnostics(r) for r in report.replicas] == [
+            (4050, 3807, 184, 59), (3401, 3183, 152, 66)]
+        # Replanning at every crossing: 243 and 218.
+        assert [calls[0] for calls in plans] == [93, 87]
+        for fast, slow in zip(report.replicas,
+                              build(False).run(trace).replicas):
+            assert_reports_identical(fast, slow)
 
 
 class TestStepCostSurface:
