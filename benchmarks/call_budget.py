@@ -1,9 +1,9 @@
-"""Host-independent call budgets for two of the gate's serving shapes.
+"""Host-independent call budgets for three of the gate's serving shapes.
 
-Each shape is a gate point cut to a few thousand requests, served twice
-in one process: the first run warms the step-cost store, and the second
-runs under cProfile.  Its total function-call count is compared with
-the shape's budget in ``BENCH_calls.json``.
+Each shape is a gate point, two of them cut to a few thousand requests,
+served twice in one process: the first run warms the step-cost store,
+and the second runs under cProfile.  Its total function-call count is
+compared with the shape's budget in ``BENCH_calls.json``.
 
 * ``bulk-1m`` (one continuous engine, batch 64, bucket 2048, a
   saturating Poisson trace whose admissions, completions and records
@@ -12,6 +12,10 @@ the shape's budget in ``BENCH_calls.json``.
 * ``bulk-100k`` (one continuous engine, batch 16, bucket 256) cut to
   10,000 requests: decode windows cross cost buckets, so every leap
   runs the engine's segment loop.
+* ``elastic`` (a paged fair-share fleet under a reactive autoscaler,
+  with scaler ticks, on a one-hour diurnal two-tenant slice), whole:
+  its trace is sized by its duration, 1,360 requests.  Paged plans,
+  chunked prefill, replica boots and retirements.
 
 Wall time on a shared host cannot tell a few per cent of per-request
 creep from noise, but a call count repeats exactly on one interpreter
@@ -50,18 +54,21 @@ from repro.serve.sweep import _resolve_design, _serve  # noqa: E402
 BUDGET_PATH = ROOT / "BENCH_calls.json"
 #: Gate point -> the requests it is cut to: enough for thousands of
 #: completion cohorts (or leap segments), small enough for a CI step.
-SHAPES = {"bulk-1m": 50_000, "bulk-100k": 10_000}
+#: None serves the whole point (a trace sized by its duration).
+SHAPES = {"bulk-1m": 50_000, "bulk-100k": 10_000, "elastic": None}
 
 
 def interpreter() -> str:
     return f"{sys.version_info.major}.{sys.version_info.minor}"
 
 
-def count_calls(name: str, requests: int) -> int:
-    """cProfile calls of one warm serve of gate point ``name`` cut to
-    ``requests`` requests."""
+def count_calls(name: str, requests: int | None) -> tuple[int, int]:
+    """``(requests served, cProfile calls)`` of one warm serve of gate
+    point ``name``, cut to ``requests`` requests unless None."""
     point = gate._scenarios()[name]
-    point = replace(point, trace=replace(point.trace, n_requests=requests))
+    if requests is not None:
+        point = replace(point, trace=replace(point.trace,
+                                             n_requests=requests))
     design = _resolve_design(point)
     trace = point.trace.realize()
     _serve(point, design, trace)
@@ -69,7 +76,7 @@ def count_calls(name: str, requests: int) -> int:
     profiler.enable()
     _serve(point, design, trace)
     profiler.disable()
-    return pstats.Stats(profiler).total_calls
+    return len(trace), pstats.Stats(profiler).total_calls
 
 
 def main(argv=None) -> int:
@@ -89,26 +96,30 @@ def main(argv=None) -> int:
             parser.error(f"the budgets were recorded on Python "
                          f"{budget['python']}; this is Python "
                          f"{interpreter()}, whose call counts differ")
-        stale = [name for name, requests in SHAPES.items()
-                 if budget["shapes"].get(name, {}).get("requests")
-                 != requests]
-        if stale:
+        missing = [name for name in SHAPES
+                   if name not in budget["shapes"]]
+        if missing:
             parser.error(f"{BUDGET_PATH.name} has no budget for "
-                         f"{', '.join(stale)} at this size; re-record "
-                         f"with --record")
-    counts = {}
+                         f"{', '.join(missing)}; re-record with --record")
+    counts, served = {}, {}
     for name, requests in SHAPES.items():
-        counts[name] = count_calls(name, requests)
-        print(f"{name} cut to {requests} requests: {counts[name]} calls "
-              f"(Python {interpreter()})")
+        served[name], counts[name] = count_calls(name, requests)
+        print(f"{name} serving {served[name]} requests: {counts[name]} "
+              f"calls (Python {interpreter()})")
     if args.record:
         BUDGET_PATH.write_text(json.dumps(
             {"python": interpreter(),
-             "shapes": {name: {"requests": requests, "calls": counts[name]}
-                        for name, requests in SHAPES.items()}},
+             "shapes": {name: {"requests": served[name],
+                               "calls": counts[name]}
+                        for name in SHAPES}},
             indent=2) + "\n")
         print(f"budgets written to {BUDGET_PATH}")
         return 0
+    stale = [name for name in SHAPES
+             if budget["shapes"][name]["requests"] != served[name]]
+    if stale:
+        parser.error(f"{BUDGET_PATH.name} budgets {', '.join(stale)} at "
+                     f"another trace size; re-record with --record")
     failed = False
     for name, calls in counts.items():
         shape = budget["shapes"][name]

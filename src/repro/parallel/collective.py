@@ -23,6 +23,7 @@ switch, so communication is visible at the step times these chips run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..arch.designs.base import CollectiveOp, OpCost
@@ -62,11 +63,17 @@ class InterconnectConfig:
     nic_area_mm2: float = 0.25
 
     def __post_init__(self):
-        if self.link_bandwidth_bytes <= 0:
-            raise ConfigError("link_bandwidth_bytes must be positive")
-        if self.link_latency_s < 0 or self.energy_pj_per_byte < 0 or \
-                self.nic_area_mm2 < 0:
-            raise ConfigError("interconnect constants must be non-negative")
+        # Written so NaN fails too: a NaN or infinite constant turns every
+        # collective's time, energy or area into NaN or inf, which breaks
+        # step ordering long after construction.
+        if not 0 < self.link_bandwidth_bytes < math.inf:
+            raise ConfigError("link_bandwidth_bytes must be finite and "
+                              "positive")
+        for name in ("link_latency_s", "energy_pj_per_byte",
+                     "nic_area_mm2"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and "
+                                  f"non-negative")
 
 
 #: Default interconnect used by :class:`repro.parallel.ShardedSystem`.

@@ -27,21 +27,29 @@ cost surface (:class:`repro.llm.workload.StepCostSurface`) instead of
 re-walking a full operator list.
 
 On top of that sits **decode leaping**: when a step's active set is
-quiescent — pure decode, no completion, and no arrival before the
-caller-provided horizon — :meth:`step` leaps the following K steps
-analytically: every leapt step repeats the committed plan, and its cost
-is re-applied with the exact same sequential float arithmetic the
-stepwise loop would use.  A ``seq_len_bucket`` crossing inside the
-window changes only the step's cost, never its plan: the step at which
-a decoder enters a new bucket opens a *segment*, priced through the
-shared cache exactly like the replanned step it replaces.  KV/block
-growth lands in bulk (:meth:`repro.serve.Scheduler.commit_leap` /
+quiescent — pure decode, and no arrival before the caller-provided
+horizon — :meth:`step` leaps the following K steps analytically:
+every leapt step repeats the committed plan, and its cost is re-applied
+with the exact same sequential float arithmetic the stepwise loop would
+use.  The plan changes only when a request is admitted or completes.  A
+``seq_len_bucket`` crossing inside the window changes only the step's
+cost: the step at which a decoder enters a new bucket opens a
+*segment*, priced through the shared cache exactly like the replanned
+step it replaces.  The window runs up to and including the earliest
+completion: the completing step is priced the same way, and its
+records and release land inside the leap (a step that would leave the
+engine without work stays planned, in its cluster's clock order).
+After a release, or after a step that admitted, the scheduler may hand
+over the plan its next ``plan_step`` would build
+(:meth:`repro.serve.Scheduler.successor_plan`), and the next call
+leaps from it without replanning.  KV/block growth lands in bulk
+(:meth:`repro.serve.Scheduler.commit_leap` /
 :meth:`repro.serve.BlockManager.extend_bulk`), and the per-step
 KV-utilization series is reconstructed exactly, so a leaping run's
 :class:`~repro.serve.ServingReport` is bit-identical to step-by-step
 execution.  Leaping needs ``seq_len_bucket > 1`` (exact mode changes
 every step's signature) and falls back to stepwise execution whenever a
-chunked prefill, swap, admission, or completion is in flight.
+chunked prefill, swap or admission is in flight.
 
 The engine owns no event loop: :class:`repro.serve.ServingCluster`
 drives its :meth:`~ServingEngine.start` / ``submit`` / ``step`` /
@@ -56,7 +64,8 @@ import math
 from bisect import bisect_left
 from functools import reduce
 from itertools import accumulate, groupby, repeat
-from operator import add
+from operator import add, sub
+from typing import NamedTuple
 
 from ..arch.simulator import SimulationResult
 from ..arch.technology import TECH_45NM
@@ -66,6 +75,28 @@ from .costs import step_cost_store
 from .metrics import RequestRecord, ServingReport
 from .scheduler import Scheduler, StepPlan
 from .trace import Request
+
+
+class Resume(NamedTuple):
+    """A leap the next :meth:`ServingEngine.step` call may pick up.
+
+    Either the rest of a window the horizon cut (``window`` steps left,
+    the first ``run`` of them at ``cost``; ``run`` 0 means the next step
+    opens a segment; ``ends`` when the window's last step completes a
+    sequence), or a scheduler's successor plan (``window`` 0: not yet
+    bounded, and its first step opens a segment).  Either is valid only
+    while nothing is submitted (``epoch``, the scheduler's
+    :attr:`~repro.serve.Scheduler.mutations`) and the clock stays at
+    ``clock``.
+    """
+
+    plan: StepPlan
+    cost: SimulationResult | None
+    window: int
+    run: int
+    ends: bool
+    epoch: int
+    clock: float
 
 
 class ServingEngine:
@@ -126,12 +157,10 @@ class ServingEngine:
         self._cache_misses = 0
         self._report: ServingReport | None = None
         self._now = 0.0
-        #: Pending leap remainder: ``(plan, cost, window, run, epoch,
-        #: clock)`` left over when a pure-decode leap was cut by the
-        #: horizon rather than by the plan's own validity bound: the
-        #: window's remaining steps, the first ``run`` of them at
-        #: ``cost`` (see :meth:`step` and :meth:`_leap`).
-        self._resume = None
+        #: Pending :class:`Resume`: the rest of a pure-decode leap the
+        #: horizon cut, or the scheduler's successor plan after a
+        #: release or an admission (see :meth:`step` and :meth:`_leap`).
+        self._resume: Resume | None = None
 
     # -- step lowering --------------------------------------------------
     def _signature(self, plan: StepPlan) -> tuple:
@@ -236,37 +265,47 @@ class ServingEngine:
         submitted before that absolute time.  With a horizon, a
         committed pure-decode step may *leap* (:meth:`_leap`): the
         engine repeats the plan analytically for every following step
-        that starts before the horizon and cannot change the plan — no
-        completion and no scheduler-state event
-        (:meth:`Scheduler.leap_window`) — committing clock, energy,
-        KV growth, and the utilization series exactly as the stepwise
-        loop would.  A ``seq_len_bucket`` crossing changes only the
-        cost: its step is priced as the replanned step would be and
-        counts as a planned step.  Without a horizon (the default)
-        every call commits exactly one step.
+        that starts before the horizon, up to and including the first
+        step at which a sequence completes (unless that step would
+        leave no work, or the scheduler's own state bounds the window
+        first, :meth:`Scheduler.leap_window`) — committing clock,
+        energy, KV growth, the utilization series, records and the
+        completion cohort's release exactly as the stepwise loop
+        would.  A ``seq_len_bucket`` crossing and the completing step
+        are priced as the replanned steps would be and count as planned
+        steps.  Without a horizon (the default) every call commits
+        exactly one step.
 
-        A leap the previous call cut at its horizon leaves the plan
-        provably valid for the window's remaining steps (no completion
-        or scheduler event occurs inside it, and admission stays
-        blocked — nothing arrived, or the resume is dropped).  When
-        nothing was submitted in between (:attr:`Scheduler.mutations`
-        unchanged) and the clock did not move, this call *resumes* that
-        leap instead of replanning: the planned-step count collapses
-        from one per foreign cluster event to one per plan-changing
-        event on this replica.  All physics fields stay bit-identical
-        to replanning (the elided plan would have been identical and
-        the accumulators advance with the same sequential additions);
-        only the diagnostic ``leap_steps`` / step-cache counters
-        attribute steps differently.
+        Two kinds of :class:`Resume` let a call skip ``plan_step``:
+
+        * a leap the previous call cut at its horizon leaves the plan
+          provably valid for the window's remaining steps (no
+          completion or scheduler event occurs before its last step,
+          and admission stays blocked — nothing arrived, or the resume
+          is dropped);
+        * after a release, or after a step that admitted, the
+          scheduler's :meth:`Scheduler.successor_plan` is the plan the
+          next ``plan_step`` would build while nothing is submitted.
+
+        When nothing was submitted in between
+        (:attr:`Scheduler.mutations` unchanged) and the clock did not
+        move, this call leaps from the resume, under its own horizon,
+        instead of replanning: a saturated engine plans about one step
+        per admission.  Every report field stays bit-identical to
+        replanning, the diagnostic ``steps`` / ``leap_steps`` /
+        step-cache counters included (in a cluster, the cache totals;
+        see :meth:`_leap`): the elided plan would have been identical,
+        its first step is priced like the planned one, and the
+        accumulators advance with the same sequential additions.
         """
         resume = self._resume
         if resume is not None:
             self._resume = None
-            plan, cost, window, run, epoch, clock = resume
             if horizon is not None and self._now < horizon and \
-                    epoch == self.scheduler.mutations and \
-                    clock == self._now:
-                self._leap(plan, cost, horizon, window, run)
+                    resume.epoch == self.scheduler.mutations and \
+                    resume.clock == self._now and \
+                    self._leap(resume.plan, resume.cost, horizon,
+                               resume.window, resume.run, resume.ends):
                 return True
         report = self._active_report()
         plan = self.scheduler.plan_step(self._now)
@@ -323,41 +362,73 @@ class ServingEngine:
         finishers += [s for s in finished_chunks
                       if s.generated >= s.request.output_len]
         if finishers:
-            # Records first (they only read state), then one cohort
-            # release — the record order and every release side effect
-            # match the interleaved per-state sequence.
-            report.records.extend([
-                RequestRecord(request=s.request, admitted_s=s.admitted_s,
-                              first_token_s=s.first_token_s, finish_s=now)
-                for s in finishers])
-            self.scheduler.release_many(finishers)
-        elif horizon is not None:
-            if chunks:
-                self._chunk_leap(plan, horizon)
+            self._release(plan, finishers)
+        elif prefill or chunks or plan.swap_seconds:
+            if chunks and len(finished_chunks) < len(chunks):
+                # A prompt still prefilling takes another chunk next
+                # step, so no pure-decode successor plan exists.
+                if horizon is not None:
+                    self._chunk_leap(plan, horizon)
             else:
-                self._leap(plan, cost, horizon)
+                self._succeed(plan, [])
+        elif horizon is not None:
+            self._leap(plan, cost, horizon)
         return True
 
-    def _leap(self, plan: StepPlan, cost: SimulationResult,
-              horizon: float, window: int = 0, run: int = 0) -> None:
-        """Leap the steps after a committed pure-decode step.
+    def _release(self, plan: StepPlan, finishers: list) -> None:
+        """Record and release a completion cohort, then keep the
+        scheduler's successor plan.
 
-        Every leapt step repeats the plan.  The window ends one step
-        before the earliest completion (the completing step must replan
-        so releases and records land through the one stepwise code
-        path), and the scheduler shrinks it to its own next state event
-        (:meth:`Scheduler.leap_window`).  A ``seq_len_bucket`` crossing
-        changes only the cost: each step at which a decoder enters a new
-        bucket opens a *segment*, priced through :meth:`_price` with the
-        get, put and hit or miss the replanned step would make, and
-        counted as a planned step; the other steps of a segment repeat
-        its cost.  A segment is at least that one step long.  (Cluster
-        replicas share the cache, and a segment start probes it when
-        its leap is taken, possibly before another replica probes the
-        same signature at an earlier simulated time: that replica then
-        hits where it would have missed, and this one misses where it
-        would have hit.  The cluster's totals are unchanged while the
-        LRU cache evicts nothing.)
+        Records first (they only read state), then one cohort release —
+        the record order and every release side effect match the
+        interleaved per-state sequence.
+        """
+        now = self._now
+        self._report.records.extend([
+            RequestRecord(request=s.request, admitted_s=s.admitted_s,
+                          first_token_s=s.first_token_s, finish_s=now)
+            for s in finishers])
+        self.scheduler.release_many(finishers)
+        self._succeed(plan, finishers)
+
+    def _succeed(self, plan: StepPlan, released: list) -> None:
+        """Keep the plan the scheduler's next ``plan_step`` would build
+        after ``plan`` (:meth:`Scheduler.successor_plan`), if it offers
+        one, as a pending :class:`Resume` for the next call."""
+        if not self.leap or self.seq_len_bucket == 1:
+            return
+        successor = self.scheduler.successor_plan(plan, released)
+        if successor is not None:
+            self._resume = Resume(successor, None, 0, 0, False,
+                                  self.scheduler.mutations, self._now)
+
+    def _leap(self, plan: StepPlan, cost: SimulationResult | None,
+              horizon: float, window: int = 0, run: int = 0,
+              ends: bool = False) -> bool:
+        """Leap the pure-decode steps that follow the clock; return
+        whether the call leapt (a successor plan may be refused).
+
+        Every leapt step repeats the plan.  The window runs to the
+        earliest completion, that step included unless it would leave
+        the scheduler without work, and the scheduler shrinks it to its
+        own next state event (:meth:`Scheduler.leap_window`).  A
+        ``seq_len_bucket`` crossing changes only the cost: each step at
+        which a decoder enters a new bucket opens a *segment*, priced
+        through :meth:`_price` with the get, put and hit or miss the
+        replanned step would make, and counted as a planned step; the
+        other steps of a segment repeat its cost.  A segment is at least
+        that one step long.  When the window keeps its completing step
+        (``ends``), that step probes the cache as the replanned step
+        would (its cost is its segment's, since its signature is), and
+        once the window's KV growth is committed the stepwise completion
+        scan, records and one :meth:`Scheduler.release_many` land
+        through :meth:`_release`.
+        (Cluster replicas share the cache, and a step priced inside a
+        leap probes it when the leap is taken, possibly before another
+        replica probes the same signature at an earlier simulated time:
+        that replica then hits where it would have missed, and this one
+        misses where it would have hit.  The cluster's totals are
+        unchanged while the LRU cache evicts nothing.)
 
         Every accumulator advances with the same sequential float
         additions the stepwise loop performs (:meth:`_advance`, one call
@@ -365,16 +436,21 @@ class ServingEngine:
         is skipped: KV growth and the utilization series land once per
         call, through the scheduler's closed forms.
 
-        Called with a ``window``, this resumes a leap the previous call
-        cut at its horizon: ``window`` steps remain, the first ``run`` of
-        them at ``cost`` (none: the next step opens a segment).  Safety
-        chain (each point pins the elided replan to the resumed plan):
-        the window bound guarantees no sequence completes inside it; in
-        a pure-decode window admission stays monotonically blocked for
-        every scheduler (reservations and ``running`` are unchanged, a
-        paged pool's available blocks only shrink, and blocked swap-ins
-        stay blocked); the anchor plan's admission probe already moved
-        the blocked head's cached prefix blocks to MRU, so eliding the
+        Without a ``window`` the window is bounded here: after a
+        committed anchor step (``cost`` is its cost, and the first
+        segment runs at it until the first crossing) or from a
+        successor plan (``cost`` None: its first step opens a segment,
+        priced like the anchor it replaces).  With a ``window``, this
+        resumes a leap the previous call cut at its horizon: ``window``
+        steps remain, the first ``run`` of them at ``cost`` (none: the
+        next step opens a segment).  Safety chain (each point pins the
+        elided replan to the leapt plan): the window bound guarantees no
+        sequence completes before its last step; in a pure-decode window
+        admission stays monotonically blocked for every scheduler
+        (reservations and ``running`` are unchanged, a paged pool's
+        available blocks only shrink, and blocked swap-ins stay
+        blocked); the anchor plan's admission probe already moved the
+        blocked head's cached prefix blocks to MRU, so eliding the
         repeat probes leaves the LRU order identical (no eviction can
         occur inside the window); and the paged window was sized so the
         whole leap's block demand fits the free list, so the remainder
@@ -384,28 +460,46 @@ class ServingEngine:
         decode = plan.decode
         b = self.seq_len_bucket
         if not window:
-            if not self.leap or b == 1 or plan.prefill or plan.chunks or \
-                    plan.swap_seconds or not decode:
-                return  # Exact mode (b == 1): every signature is new.
-            # One pass: the steps before the earliest completion, and
-            # before the earliest bucket crossing (the first segment).
-            # context_len was just incremented: the committed step
-            # planned at context_len - 1, and leapt step j plans at
-            # context_len + j - 1.
-            window, run = math.inf, b
+            if not self.leap or b == 1:
+                return False  # Exact mode (b == 1): every signature is new.
+            # One pass: the steps up to the earliest completion, and,
+            # after an anchor, before the earliest bucket crossing (the
+            # first segment).  context_len was just incremented: the
+            # anchor planned at context_len - 1, and leapt step j plans
+            # at context_len + j - 1.
+            window = math.inf
+            run = b if cost is not None else 0
+            prompts = 0
             for state in decode:
-                left = state.request.output_len - state.generated - 1
+                request = state.request
+                prompts += request.prompt_len
+                left = request.output_len - state.generated
                 if left < window:
-                    if left <= 0:
-                        return
                     window = left
-                crossing = -(state.context_len - 1) % b
-                if crossing < run:
-                    run = crossing
-            window = self.scheduler.leap_window(plan, window)
-            if window <= 0:
-                return
-        done = priced = 0  # Steps leapt, and segment starts among them.
+                if run:
+                    crossing = -(state.context_len - 1) % b
+                    if crossing < run:
+                        run = crossing
+            # Each decoder owes its prompt and its ``left`` tokens, at
+            # least ``window`` of them, and anything else queued or
+            # running owes more: equality means every decoder completes
+            # at the window's last step and nothing else remains.  That
+            # step stays planned, so a step that leaves the scheduler
+            # without work lands in the cluster's clock order — an
+            # elastic fleet retires a draining replica right after it.
+            ends = self.scheduler.outstanding_tokens != \
+                window * len(decode) + prompts
+            if not ends:
+                window -= 1
+            granted = self.scheduler.leap_window(plan, window)
+            if granted <= 0:
+                return False
+            if granted < window:
+                ends = False
+            window = granted
+        done = priced = 0  # Steps leapt, and priced steps among them.
+        key, start = None, -1  # The last segment's signature and start.
+        contexts = None  # The decoders' contexts when this call began.
         while True:
             take = run if run < window - done else window - done
             if take:
@@ -418,31 +512,48 @@ class ServingEngine:
                     break  # Cut by the horizon inside a segment.
             if done == window or self._now >= horizon:
                 break  # The window's end, or a cut at a segment start.
-            # Step done + 1 opens a segment: it plans at context_len +
-            # done, and its segment lasts until a decoder crosses again.
-            contexts = [s.context_len + done for s in decode]
-            cost = self._price(((), tuple(sorted(
-                [-(-c // b) * b for c in contexts])), ()))
-            run = 1 + min([-c % b for c in contexts])
+            # Step done + 1 opens a segment (a crossing, or a successor's
+            # first step): it plans at context_len + done, and its
+            # segment lasts until a decoder crosses again.
+            if contexts is None:
+                contexts = [s.context_len for s in decode]
+            buckets = [-(-(c + done) // b) * b for c in contexts]
+            key = ((), tuple(sorted(buckets)), ())
+            cost = self._price(key)
+            run = 1 + min(map(sub, buckets, contexts)) - done
+            start = done
+            priced += 1
+        if ends and done == window and start != done - 1:
+            # The completing step ran inside a segment, at its cost; it
+            # still probes the cache as the replanned step did.
+            if key is None:  # Resumed inside that segment.
+                key = ((), tuple(sorted([-(-(s.context_len + done - 1)
+                                           // b) * b for s in decode])), ())
+            self._price(key)
             priced += 1
         if done < window:
             # Cut by the horizon, not by the plan's validity: the
             # remaining steps stay leapable once the caller's next
             # horizon opens, provided nothing is submitted meanwhile.
-            self._resume = (plan, cost, window - done, run,
-                            self.scheduler.mutations, self._now)
-        if done:
-            report = self._report
-            scheduler = self.scheduler
-            report.kv_utilization.extend(scheduler.commit_leap(plan, done))
-            report.peak_kv_bytes = max(report.peak_kv_bytes,
-                                       scheduler.reserved_bytes)
-            report.steps += done
-            report.leap_steps += done - priced
-            for state in decode:
-                state.generated += done
-                state.context_len += done
-            scheduler.note_generated(done * len(decode))
+            self._resume = Resume(plan, cost, window - done, run, ends,
+                                  self.scheduler.mutations, self._now)
+        if not done:
+            return False
+        report = self._report
+        scheduler = self.scheduler
+        report.kv_utilization.extend(scheduler.commit_leap(plan, done))
+        report.peak_kv_bytes = max(report.peak_kv_bytes,
+                                   scheduler.reserved_bytes)
+        report.steps += done
+        report.leap_steps += done - priced
+        for state in decode:
+            state.generated += done
+            state.context_len += done
+        scheduler.note_generated(done * len(decode))
+        if done == window and ends:
+            self._release(plan, [s for s in decode
+                                 if s.generated >= s.request.output_len])
+        return True
 
     def _advance(self, duration: float, energy: float, comm: float,
                  window: int, horizon: float) -> int:

@@ -396,6 +396,25 @@ class PagedScheduler(Scheduler):
                               "pool (copy-on-write inside a leap?)")
         return series
 
+    def successor_plan(self, plan: StepPlan,
+                       released: list) -> StepPlan | None:
+        """The running decoders in policy order, while nothing waits,
+        is swapped out or is still prefilling.
+
+        Then the next :meth:`plan_step` swaps nothing in, chunks and
+        admits nothing, and extends every decoder by one token.  Its
+        own preemptions stay out: the engine leaps from this plan only
+        through :meth:`leap_window`, which grants no step whose block
+        demand the pool cannot cover (and none after a preempting
+        plan).
+        """
+        if self.waiting or self.swapped:
+            return None
+        decoders, prefilling = self._partition_running()
+        if prefilling or not decoders:
+            return None
+        return StepPlan(decode=decoders)
+
     # -- chunked-prefill leaping ------------------------------------------
     def chunk_leap_window(self, task: ChunkTask) -> int:
         """How many further identical prefill chunks the engine may leap.

@@ -160,7 +160,9 @@ class PrefixAffinityRouter(Router):
 
     def __init__(self, fallback: Router | None = None,
                  overload_factor: float | None = 1.25):
-        if overload_factor is not None and overload_factor < 1.0:
+        # Written so NaN fails too: a NaN factor never spills, silently
+        # switching the bound off.
+        if overload_factor is not None and not overload_factor >= 1.0:
             raise ConfigError("overload_factor must be >= 1 (or None)")
         self.fallback = fallback if fallback is not None \
             else LeastOutstandingRouter()

@@ -287,33 +287,61 @@ class Scheduler:
         see :meth:`repro.serve.policy.PagedScheduler.plan_step`) — so a
         decode leap may sail straight through arrivals.  The stepwise
         loop would have ingested each arrival at its step boundary and
-        then planned the *identical* step; the queue refills in bulk,
-        in the same arrival order, when the leap-breaking event
-        (always a planned step) replans.  Only a completion or
-        preemption can reopen admission, and both break a leap.
+        then planned the *identical* step.  Only a completion or
+        preemption can reopen admission: a preemption breaks a leap,
+        and a completing step ends one — the leap commits it and its
+        release, and the next call replans once the leapt-past arrivals
+        are queued (they drop any successor plan, see
+        :meth:`successor_plan`), so the queue refills in bulk, in the
+        same arrival order, before the admission that could take them.
         """
         return len(self.running) >= self.max_batch
 
     def leap_window(self, plan: StepPlan, max_steps: int) -> int:
         """How many further pure-decode steps the engine may leap.
 
-        Called by :meth:`repro.serve.ServingEngine.step` after it has
-        committed a pure-decode step (no prefills, no chunks, no swap
-        time, no completions) and bounded the window by the next
-        completion.  A ``seq_len_bucket`` crossing changes only the
+        Called by :meth:`repro.serve.ServingEngine.step` with a
+        pure-decode plan (no prefills, no chunks, no swap time) whose
+        next ``max_steps`` steps it would repeat: the last of them is
+        the earliest step at which a sequence completes (or the step
+        before it, when it would leave no work), and the engine commits
+        that step, its records and its release inside the leap when the
+        window keeps it.  A ``seq_len_bucket`` crossing changes only the
         step's cost, never its plan, so it does not bound the window
         (the engine prices each crossing inside it), and the arrival
         horizon cuts the window only as it is leapt.  The scheduler
-        shrinks the window to the next step at which its *own* state
-        could change the plan.
+        shrinks the window to the steps before the first one at which
+        its *own* state could change the plan.
 
         The default keeps the engine bound, which is exact for peak
         reservation: admission depends only on ``reserved_bytes``, the
         running-slot count, and the static queue head — none of which a
-        pure-decode step changes — so a queue head blocked at the anchor
-        step stays blocked for the whole window.
+        pure-decode step changes, and a release lands only after the
+        completing step — so a queue head blocked at the anchor step
+        stays blocked for the whole window.
         """
         return max_steps
+
+    def successor_plan(self, plan: StepPlan,
+                       released: list) -> StepPlan | None:
+        """The plan the next :meth:`plan_step` would build, when no
+        admission can happen before it; otherwise None.
+
+        The engine asks after a committed step it did not leap from:
+        one that admitted, finished a chunked prefill or swapped
+        (``released`` empty; not while a prompt is mid-prefill, since
+        its next chunk rules out a pure-decode plan), or one whose
+        completion cohort ``released`` it just released, in a step of
+        its own or at the end of a leap.  ``plan`` is the step it
+        committed.  It keeps the plan and leaps from it on its next call
+        only while nothing is submitted and its clock stays put, so a
+        plan returned here may assume the queue changes only by
+        admission.  Its first step is priced and counted as the planned
+        step it replaces, and :meth:`leap_window` still bounds the leap
+        (a refused window falls back to :meth:`plan_step`).  None, the
+        default, always replans.
+        """
+        return None
 
     def commit_leap(self, plan: StepPlan, steps: int) -> list:
         """Advance KV accounting past ``steps`` leapt decode steps.
@@ -474,6 +502,23 @@ class ContinuousBatchScheduler(Scheduler):
         prefill, ready = split_kv_ready(self._admit_all(now))
         decode.extend(ready)
         return StepPlan(prefill=prefill, decode=decode)
+
+    def successor_plan(self, plan: StepPlan,
+                       released: list) -> StepPlan | None:
+        """Decode of the whole running set, unless a release may have
+        let the queue head in.
+
+        Admission stops on an empty queue, a full batch or a head over
+        the KV budget, and only an arrival or a release reopens it: so
+        after a step that released nothing it stays shut, and after a
+        release it stays shut while nothing is queued.  Every running
+        sequence then decodes, in running order (finishers leave
+        ``running`` as they finish).  A static batch, which admits
+        nothing while it drains, plans the same.
+        """
+        if released and self.queue or not self.running:
+            return None
+        return StepPlan(decode=list(self.running))
 
 
 class StaticBatchScheduler(ContinuousBatchScheduler):

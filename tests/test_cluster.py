@@ -11,6 +11,8 @@ ISSUE satellites pinned here:
   trace's own objects, and rerunning one trace is safe.
 """
 
+import math
+
 import pytest
 
 from repro.arch import make_design
@@ -142,8 +144,9 @@ class TestRouters:
             make_router("sticky")
         with pytest.raises(ConfigError, match="ignored"):
             make_router(RoundRobinRouter(), seed=3)
-        with pytest.raises(ConfigError, match="overload_factor"):
-            PrefixAffinityRouter(overload_factor=0.5)
+        for factor in (0.5, math.nan, -math.inf):
+            with pytest.raises(ConfigError, match="overload_factor"):
+                PrefixAffinityRouter(overload_factor=factor)
         assert make_router("power-of-two", seed=9).name == "power-of-two"
 
 

@@ -215,3 +215,30 @@ def test_cohort_stops_at_the_next_tick():
     first = next(s for s in scaler.snapshots if s.now_s == tick)
     assert round(first.arrival_rate_rps * tick) == 2
     assert_reports_identical(report, reference_run(build()[1], trace))
+
+
+def test_draining_replicas_retire_in_stepwise_order():
+    """Two draining replicas whose last completions fall between the same
+    two ticks retire in the order the stepwise loop reaches their last
+    steps, which sets the order of the fleet's replica reports and of
+    its replica-seconds sum.  A decode leap may commit a completing
+    step, but not one that leaves the replica without work: that step
+    stays planned, so a replica whose leap starts earlier but ends its
+    work later still retires second."""
+    trace = [Request(req_id=i, arrival_s=arrival, prompt_len=prompt,
+                     output_len=output)
+             for i, (arrival, prompt, output) in enumerate(
+                 [(1.375, 34, 95), (1.4375, 46, 72), (1.5, 33, 93)])]
+
+    def build(**engine):
+        return AutoscalingCluster(
+            DESIGN, TINY_GQA, 3, autoscaler=ParityScaler(max_replicas=3),
+            router="least-outstanding", policy="continuous", max_batch=1,
+            kv_capacity_bytes=CAPACITY, seq_len_bucket=2, tick_s=0.0625,
+            cold_start=cold_start(0.0), **engine)
+
+    report = build().run(trace)
+    retired = [(len(r.records), r.makespan_s) for r in report.replicas]
+    assert retired[:2] == [(1, 1.5256531823437502), (1, 1.55450628125)]
+    assert_reports_identical(report, build(leap=False).run(trace))
+    assert_reports_identical(report, reference_run(build(), trace))

@@ -95,6 +95,23 @@ class TestCollectiveModel:
         with pytest.raises(ConfigError):
             InterconnectConfig(link_latency_s=-1)
 
+    @pytest.mark.parametrize("name", ["link_bandwidth_bytes",
+                                      "link_latency_s",
+                                      "energy_pj_per_byte", "nic_area_mm2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_interconnect_rejects_non_finite_constants(self, name, value):
+        """A NaN latency used to surface only mid-run, as a sharded
+        engine that "lost records" or a migrated request with a NaN
+        arrival time; every constant now fails at construction."""
+        with pytest.raises(ConfigError, match=name):
+            InterconnectConfig(**{name: value})
+
+    def test_interconnect_zero_is_the_floor(self):
+        InterconnectConfig(link_latency_s=0.0, energy_pj_per_byte=0.0,
+                           nic_area_mm2=0.0)
+        with pytest.raises(ConfigError, match="link_bandwidth_bytes"):
+            InterconnectConfig(link_bandwidth_bytes=0.0)
+
     def test_ring_all_reduce_terms(self):
         ic = InterconnectConfig(link_bandwidth_bytes=1e9,
                                 link_latency_s=1e-6)

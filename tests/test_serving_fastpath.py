@@ -243,42 +243,74 @@ def diagnostics(report) -> tuple:
 
 
 class ReplanningEngine(ServingEngine):
-    """Reference engine whose decode leaps stop at the first bucket
-    crossing, so the crossing step is planned afresh: one segment per
-    leap, and the scheduler asked once per segment."""
+    """Reference engine that replans where the engine did before it
+    committed completing steps inside leaps and kept successor plans:
+    its decode leaps stop one step before the earliest completion, and
+    it keeps no successor plan, so the completing step, the anchor after
+    an admission and the step after a release are each planned afresh.
 
-    def _leap(self, plan, cost, horizon, window=0, run=0):
+    Bucket crossings open segments, as they did then.  Replanning them
+    too would not be that engine: a crossing replan asks
+    :meth:`Scheduler.leap_window` again, after the arrivals a saturated
+    lone replica leapt past have been queued, and a paged pool then
+    bounds the window by its free list alone, where the window granted
+    at the anchor also counted evictable cached blocks (the step it
+    leapt is then planned, one more probe)."""
+
+    def _leap(self, plan, cost, horizon, window=0, run=0, ends=False):
         if not window:
             b = self.seq_len_bucket
-            if not self.leap or b == 1 or plan.prefill or plan.chunks or \
-                    plan.swap_seconds or not plan.decode:
-                return
-            bound = min(min(s.request.output_len - s.generated - 1,
-                            -(s.context_len - 1) % b) for s in plan.decode)
+            if not self.leap or b == 1:
+                return False
+            bound = min(s.request.output_len - s.generated - 1
+                        for s in plan.decode)
             if bound <= 0:
-                return
-            window = run = self.scheduler.leap_window(plan, bound)
+                return False
+            window = self.scheduler.leap_window(plan, bound)
             if window <= 0:
-                return
-        super()._leap(plan, cost, horizon, window, run)
+                return False
+            run = min(-(s.context_len - 1) % b for s in plan.decode)
+        return super()._leap(plan, cost, horizon, window, run, False)
+
+    def _succeed(self, plan, released):
+        """Keep no successor: replan after every admission and release."""
+
+
+#: The seven registered schedulers (a helper class that sets ``name``
+#: would join ``SCHEDULERS``, so the list is spelled out).
+POLICIES = ("continuous", "static", "paged", "paged-priority",
+            "paged-preemptive", "paged-fair-share", "paged-tenant-priority")
+
+
+def scheduler_kwargs(policy) -> dict:
+    kwargs = dict(PAGED_KWARGS, kv_capacity_bytes=PAGED_CAPACITY) \
+        if policy.startswith("paged") else {}
+    if policy in TENANT_POLICIES:
+        kwargs["slos"] = TENANT_SLOS
+    return kwargs
 
 
 class TestLeapSegments:
-    """A decode leap runs across ``seq_len_bucket`` crossings: the step
-    at which a decoder enters a new bucket opens a segment, priced like
+    """A decode leap replans only where the plan can change.  A step at
+    which a decoder enters a new cost bucket opens a segment, the step
+    at which a sequence completes is committed inside the leap, and
+    after an admission or a release the scheduler's successor plan
+    stands in for the next ``plan_step``; each such step is priced like
     the replanned step it replaces.  The leap ≡ stepwise diffs above
     skip the diagnostic counters, so these runs pin them: ``steps``,
-    ``leap_steps`` and the step-cache hits and misses at the values an
-    engine that replans at every crossing records, and the
-    ``plan_step`` calls at the lower count that segments leave."""
+    ``leap_steps`` and the step-cache hits and misses at the values of
+    an engine that plans the completing steps, the anchors after
+    admissions and the steps after releases
+    (:class:`ReplanningEngine`), and the ``plan_step`` calls at the
+    lower count left without them."""
 
     @staticmethod
-    def _long_decodes(leap=True):
+    def _long_decodes(leap=True, engine_class=ServingEngine):
         """An engine holding two long decoders that cross buckets at
         different steps (contexts 31 and 46 after prefill, bucket 32)."""
         scheduler = make_scheduler("continuous", TINY_GQA, max_batch=4)
-        engine = ServingEngine(make_design("mugi", 64), TINY_GQA,
-                               scheduler, seq_len_bucket=32, leap=leap)
+        engine = engine_class(make_design("mugi", 64), TINY_GQA,
+                              scheduler, seq_len_bucket=32, leap=leap)
         engine.start()
         engine.submit(Request(req_id=0, arrival_s=0.0, prompt_len=30,
                               output_len=200))
@@ -294,8 +326,8 @@ class TestLeapSegments:
 
     def _step_ends(self) -> list:
         """End clocks of the stepwise run's steps: step 1 prefills, step
-        2 anchors the leap, and decoder 0 enters bucket 64 at step 4,
-        whose segment lasts to step 20."""
+        2 is the first decode step, and decoder 0 enters bucket 64 at
+        step 4, whose segment lasts to step 20."""
         engine, _ = self._long_decodes(leap=False)
         ends = []
         while engine.has_work():
@@ -309,17 +341,23 @@ class TestLeapSegments:
         """A horizon cut at a segment start leaves the resume to price
         it; one inside a segment resumes at that segment's cost.  Either
         way the split window replans nothing and counts every step,
-        probe and hit as the uncut window does."""
+        probe and hit as the uncut window does.  The window is the
+        admission's successor plan, leapt from step 2 up to step 150,
+        where decoder 1 completes."""
         ends = self._step_ends()
         whole, whole_plans = self._long_decodes()
         uncut = self._drain(whole, math.inf)
         engine, plans = self._long_decodes()
         engine.step()
+        assert engine._resume.window == 0  # A successor, not yet leapt.
         engine.step(horizon=ends[cut])  # Step cut + 2 starts at it.
         assert engine.now == ends[cut]
-        assert engine._resume[2:4] == (148 - cut, run)
+        resume = engine._resume
+        assert (resume.window, resume.run, resume.ends) == \
+            (149 - cut, run, True)
         report = self._drain(engine, math.inf)
-        assert plans[0] == whole_plans[0] == 5  # Replanning: 17.
+        # The admission, and the completion that empties the engine.
+        assert plans[0] == whole_plans[0] == 2  # The reference: 5.
         assert_reports_identical(report, uncut)
         assert diagnostics(report) == diagnostics(uncut) == \
             (200, 183, 2, 15)
@@ -331,7 +369,7 @@ class TestLeapSegments:
         engine, plans = self._long_decodes()
         engine.step()
         engine.step(horizon=ends[2])
-        assert engine._resume is not None
+        assert engine._resume.window
         late = Request(req_id=2, arrival_s=ends[2], prompt_len=20,
                        output_len=10)
         engine.submit(late)
@@ -341,36 +379,150 @@ class TestLeapSegments:
         assert engine.scheduler.running[-1].request is late
         report = self._drain(engine, math.inf)
         assert diagnostics(report) == (200, 180, 3, 17)
-        assert plans[0] == 9  # Replanning at every crossing: 20.
+        assert plans[0] == 3  # The reference: 9.
         slow, _ = self._long_decodes(leap=False)
         for _ in range(3):
             slow.step()
         slow.submit(late)
         assert_reports_identical(report, self._drain(slow))
 
+    @pytest.mark.parametrize("move", ["submit", "advance_to"])
+    def test_a_submission_or_a_clock_move_drops_a_successor(self, move):
+        """The admission's successor plan stands only while nothing is
+        submitted and the clock stays put: either event makes the next
+        step replan, and the run still matches stepwise execution."""
+        engine, plans = self._long_decodes()
+        slow, _ = self._long_decodes(leap=False)
+        for run in (engine, slow):
+            run.step()
+        assert engine._resume.window == 0 and plans[0] == 1
+        late = Request(req_id=2, arrival_s=engine.now, prompt_len=20,
+                       output_len=10)
+        idle_to = engine.now + 0.5
+        for run in (engine, slow):
+            if move == "submit":
+                run.submit(late)
+            else:
+                run.advance_to(idle_to)
+        assert engine.step(math.inf)
+        assert plans[0] == 2  # Replanned, not leapt from the successor.
+        if move == "submit":
+            assert engine.scheduler.running[-1].request is late
+        report = self._drain(engine, math.inf)
+        assert_reports_identical(report, self._drain(slow))
+        reference, _ = self._long_decodes(engine_class=ReplanningEngine)
+        reference.step()
+        if move == "submit":
+            reference.submit(late)
+        else:
+            reference.advance_to(idle_to)
+        assert diagnostics(report) == \
+            diagnostics(self._drain(reference, math.inf))
+
+    def test_a_saturated_engine_plans_once_per_completion_cohort(self):
+        """With the batch full and requests queued, a completion cohort
+        is committed inside the leap that reaches it, its release leaves
+        the queue non-empty, and only the admitting step that follows is
+        planned; the admission's successor plan leaps to the next cohort.
+        Once the queue is empty a release plans nothing either, except
+        the last completion: a step that leaves no work stays planned."""
+        trace = poisson_trace(n_requests=60, rate_rps=1e6,
+                              prompt=LengthSpec("uniform", low=4, high=80),
+                              output=LengthSpec("uniform", low=20,
+                                                high=200), seed=8)
+
+        def serve(engine_class, leap=True):
+            scheduler = make_scheduler("continuous", TINY_GQA, max_batch=6)
+            engine = engine_class(make_design("mugi", 64), TINY_GQA,
+                                  scheduler, seq_len_bucket=32, leap=leap)
+            plans = count_plans(scheduler)
+            queued = []  # Queue depth after each release.
+            release_many = scheduler.release_many
+
+            def release(states):
+                release_many(states)
+                queued.append(len(scheduler.queue))
+
+            scheduler.release_many = release
+            engine.start()
+            for request in trace:
+                engine.submit(request)
+            return self._drain(engine, math.inf), plans[0], queued
+
+        report, plans, queued = serve(ServingEngine)
+        cohorts = sum(1 for depth in queued if depth)
+        assert cohorts > 20 and len(queued) > cohorts
+        assert plans == 1 + cohorts + 1
+        slow, _, _ = serve(ServingEngine, leap=False)
+        assert_reports_identical(report, slow)
+        reference, reference_plans, _ = serve(ReplanningEngine)
+        assert diagnostics(report) == diagnostics(reference)
+        assert reference_plans > 3 * cohorts
+
+    def test_a_completing_step_after_inert_arrivals(self):
+        """A lone saturated replica leaps through arrivals while its full
+        batch keeps them inert, and commits a completing step that starts
+        after some of them: queued only after the leap, they drop the
+        successor plan, so the next step replans and admits them like
+        stepwise execution does."""
+        trace = poisson_trace(n_requests=80, rate_rps=3.0,
+                              prompt=LengthSpec("uniform", low=4, high=80),
+                              output=LengthSpec("uniform", low=100,
+                                                high=300), seed=2)
+        times = sorted(r.arrival_s for r in trace)
+        scheduler = make_scheduler("continuous", TINY_GQA, max_batch=4)
+        engine = ServingEngine(make_design("mugi", 64), TINY_GQA,
+                               scheduler, seq_len_bucket=32)
+        last = [0.0, 0.0]  # Start and end of the latest leapt run.
+        late = []  # Completing steps that started after unqueued arrivals.
+        advance, release = engine._advance, engine._release
+
+        def spied_advance(*args):
+            start = engine._now
+            leapt = advance(*args)
+            last[:] = [start, engine._now]
+            return leapt
+
+        def spied_release(plan, finishers):
+            if last[1] == engine._now:  # Committed inside a leap.
+                waiting = sum(1 for t in times if t <= last[0])
+                if scheduler.mutations < waiting:
+                    late.append(engine._now)
+            release(plan, finishers)
+
+        engine._advance, engine._release = spied_advance, spied_release
+        report = ServingCluster([engine]).run(trace).replicas[0]
+        assert late
+        slow = simulate_trace(make_design("mugi", 64), TINY_GQA, trace,
+                              policy="continuous", max_batch=4,
+                              seq_len_bucket=32, leap=False)
+        assert_reports_identical(report, slow)
+        reference = ReplanningEngine(
+            make_design("mugi", 64), TINY_GQA,
+            make_scheduler("continuous", TINY_GQA, max_batch=4),
+            seq_len_bucket=32)
+        assert diagnostics(report) == diagnostics(
+            ServingCluster([reference]).run(trace).replicas[0])
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000),
-           policy=st.sampled_from(["continuous", "static", "paged",
-                                   "paged-preemptive", "paged-fair-share"]),
+           policy=st.sampled_from(POLICIES),
            bucket=st.sampled_from([4, 16, 32]),
            replicas=st.sampled_from([1, 2]),
            n_requests=st.integers(5, 30))
-    def test_property_matches_replanning_at_crossings(
+    def test_property_matches_replanning(
             self, seed, policy, bucket, replicas, n_requests):
-        """Against an engine that replans every crossing step: a single
-        engine keeps every report field, counters included.  Replicas
-        share one step cache, and a segment start is priced when its
+        """Against an engine that plans every completing step,
+        post-admission anchor and post-release step: a single engine
+        keeps every report field, counters included.  Replicas share one
+        step cache, and a step priced inside a leap is priced when its
         leap is taken, which can precede another replica's probe of the
         same signature at an earlier simulated time: so in a cluster
         each replica keeps every other field, and the cluster keeps its
         hit and miss totals, but a hit may be credited to the other
         replica."""
         trace = policy_trace(policy, n_requests, seed)
-        paged = policy.startswith("paged")
-        kwargs = dict(PAGED_KWARGS, kv_capacity_bytes=PAGED_CAPACITY) \
-            if paged else {}
-        if policy in TENANT_POLICIES:
-            kwargs["slos"] = TENANT_SLOS
+        kwargs = scheduler_kwargs(policy)
 
         def run(engine_class):
             design = make_design("mugi", 64)
@@ -408,7 +560,15 @@ class TestLeapSegments:
         plans = count_plans(scheduler)
         report = ServingCluster([engine]).run(trace).replicas[0]
         assert diagnostics(report) == (2485, 2076, 38, 371)
-        assert plans[0] == 141  # Replanning at every crossing: 409.
+        assert plans[0] == 42
+        reference = ReplanningEngine(
+            make_design("mugi", 64), TINY_GQA,
+            make_scheduler("continuous", TINY_GQA, max_batch=6),
+            seq_len_bucket=32)
+        reference_plans = count_plans(reference.scheduler)
+        assert diagnostics(ServingCluster([reference]).run(trace)
+                           .replicas[0]) == diagnostics(report)
+        assert reference_plans[0] == 141
         assert_reports_identical(report, simulate_trace(
             make_design("mugi", 64), TINY_GQA, trace, policy="continuous",
             max_batch=6, seq_len_bucket=32, leap=False))
@@ -442,17 +602,18 @@ class TestLeapSegments:
             engine, leap = rep.engine, rep.engine._leap
 
             def spied(*args, engine=engine, leap=leap):
-                leap(*args)
-                if engine._resume is not None:
-                    cuts.append(engine._resume[3])
+                leapt = leap(*args)
+                if engine._resume is not None and engine._resume.window:
+                    cuts.append(engine._resume.run)  # A horizon cut.
+                return leapt
 
             engine._leap = spied
         report = cluster.run(trace)
         assert 0 in cuts and any(run > 0 for run in cuts)
         assert [diagnostics(r) for r in report.replicas] == [
             (4050, 3807, 184, 59), (3401, 3183, 152, 66)]
-        # Replanning at every crossing: 243 and 218.
-        assert [calls[0] for calls in plans] == [93, 87]
+        # The reference: 93 and 87.
+        assert [calls[0] for calls in plans] == [41, 41]
         for fast, slow in zip(report.replicas,
                               build(False).run(trace).replicas):
             assert_reports_identical(fast, slow)
