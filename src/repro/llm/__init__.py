@@ -27,6 +27,7 @@ from .moe import (
     mixtral_like,
 )
 from .workload import (
+    StepCost,
     StepCostSurface,
     build_chunked_prefill_ops,
     build_decode_ops,
@@ -48,6 +49,7 @@ __all__ = [
     "MODELS",
     "MoEConfig",
     "ModelConfig",
+    "StepCost",
     "StepCostSurface",
     "SWINV2_LARGE",
     "SWINV2_TINY",

@@ -1,8 +1,11 @@
 """Shared, bounded step-cost caches for serving engines.
 
 The serving engine prices each step by its active-set *signature*
-(:meth:`repro.serve.ServingEngine._signature`).  Before this module the
-cache of signature → :class:`repro.arch.SimulationResult` lived on each
+(:meth:`repro.serve.ServingEngine._signature`) and caches signature →
+:class:`repro.llm.StepCost`: the step's wall time, dynamic energy and
+communication time, the three floats the engine reads (145 B traced,
+where a :class:`repro.arch.SimulationResult` with its two breakdown
+dicts takes about 950 B).  Before this module that cache lived on each
 engine instance, which had two costs at scale:
 
 * a :class:`repro.serve.ServingCluster` of N identical replicas held N
@@ -20,8 +23,8 @@ designs weakly, so retiring a design frees its caches.
 
 Sharing is safe because a design is immutable once it has priced
 anything (the same contract as :func:`repro.arch.designs.base.
-memoize_op_cost`) and cached :class:`~repro.arch.SimulationResult`
-objects are treated as read-only by every consumer.
+memoize_op_cost`) and cached :class:`~repro.llm.StepCost` values are
+immutable tuples.
 """
 
 from __future__ import annotations
@@ -38,15 +41,17 @@ __all__ = ["StepCostCache", "StepCostStore", "aggregate_cache_stats",
            "export_store_tables", "install_store_tables",
            "step_cost_store"]
 
-#: Default LRU capacity.  A signature entry is one small dataclass plus
-#: a tuple key (~1 KB); the default bounds the cache near 64 MB while
-#: keeping hit rates high on saturated traces, whose working set of
-#: *live* signatures is far smaller than the trace-long union.
+#: Default LRU capacity.  An entry is a tuple key and a StepCost value:
+#: about 700 B traced on the ``serve-bulk`` and ``fleet-prefix``
+#: benchmark traces (the value 145 B of it), so the default bounds the
+#: cache near 46 MB while keeping hit rates high on saturated traces,
+#: whose working set of *live* signatures is far smaller than the
+#: trace-long union.
 DEFAULT_MAX_ENTRIES = 65536
 
 
 class StepCostCache:
-    """Size-capped LRU mapping step signatures to simulation results.
+    """Size-capped LRU mapping step signatures to step costs.
 
     One instance may be shared by many engines (cluster replicas); the
     engines keep their own hit/miss counters so each
@@ -69,7 +74,7 @@ class StepCostCache:
         return len(self._data)
 
     def get(self, key):
-        """The cached result for ``key`` (refreshed as most recent), or
+        """The cached value for ``key`` (refreshed as most recent), or
         None."""
         hit = self._data.get(key)
         if hit is not None:

@@ -67,10 +67,10 @@ from itertools import accumulate, groupby, repeat
 from operator import add, sub
 from typing import NamedTuple
 
-from ..arch.simulator import SimulationResult
 from ..arch.technology import TECH_45NM
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
+from ..llm.workload import StepCost
 from .costs import step_cost_store
 from .metrics import RequestRecord, ServingReport
 from .scheduler import Scheduler, StepPlan
@@ -81,17 +81,18 @@ class Resume(NamedTuple):
     """A leap the next :meth:`ServingEngine.step` call may pick up.
 
     Either the rest of a window the horizon cut (``window`` steps left,
-    the first ``run`` of them at ``cost``; ``run`` 0 means the next step
-    opens a segment; ``ends`` when the window's last step completes a
+    the first ``run`` of them at ``cost``, the current segment's
+    :class:`~repro.llm.StepCost`; ``run`` 0 means the next step opens a
+    segment; ``ends`` when the window's last step completes a
     sequence), or a scheduler's successor plan (``window`` 0: not yet
-    bounded, and its first step opens a segment).  Either is valid only
-    while nothing is submitted (``epoch``, the scheduler's
-    :attr:`~repro.serve.Scheduler.mutations`) and the clock stays at
-    ``clock``.
+    bounded; ``cost`` None, as its first step opens a segment).  Either
+    is valid only while nothing is submitted (``epoch``, the
+    scheduler's :attr:`~repro.serve.Scheduler.mutations`) and the clock
+    stays at ``clock``.
     """
 
     plan: StepPlan
-    cost: SimulationResult | None
+    cost: StepCost | None
     window: int
     run: int
     ends: bool
@@ -190,24 +191,30 @@ class ServingEngine:
         return prefill, decode, tuple([(key, len(list(run)))
                                        for key, run in groupby(keys)])
 
-    def _price(self, key: tuple) -> SimulationResult:
+    def _price(self, key: tuple) -> StepCost:
         """The cost of a step with signature ``key`` (see
         :meth:`_signature`), through the shared step cache: a planned
         step, a decode leap's segment start and a leapt prefill chunk
-        all probe it the same way."""
-        result = self._step_cache.get(key)
-        if result is not None:
+        all probe it the same way.
+
+        A miss prices through
+        :meth:`repro.llm.StepCostSurface.step_cost`, so the cache holds
+        :class:`~repro.llm.StepCost` values, the three floats the
+        engine reads, and no :class:`~repro.arch.SimulationResult`.
+        """
+        cost = self._step_cache.get(key)
+        if cost is not None:
             self._cache_hits += 1
-            return result
+            return cost
         self._cache_misses += 1
-        result = self._surface.price_step(*key)
+        cost = self._surface.step_cost(*key)
         if self.seq_len_bucket > 1:
             # In exact mode nearly every step's signature is unique
             # (contexts grow each step), so storing would only churn
             # the LRU; the surface's component tables still carry the
             # speedup.
-            self._step_cache.put(key, result)
-        return result
+            self._step_cache.put(key, cost)
+        return cost
 
     # -- externally clocked session --------------------------------------
     @property
@@ -402,7 +409,7 @@ class ServingEngine:
             self._resume = Resume(successor, None, 0, 0, False,
                                   self.scheduler.mutations, self._now)
 
-    def _leap(self, plan: StepPlan, cost: SimulationResult | None,
+    def _leap(self, plan: StepPlan, cost: StepCost | None,
               horizon: float, window: int = 0, run: int = 0,
               ends: bool = False) -> bool:
         """Leap the pure-decode steps that follow the clock; return

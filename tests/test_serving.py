@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from repro.arch import GemmOp
 from repro.llm import (
     LLAMA2_70B_GQA,
     ModelConfig,
+    StepCost,
     build_decode_ops,
     build_prefill_ops,
     build_ragged_decode_ops,
@@ -512,6 +514,36 @@ class TestEngine:
         report = ServingCluster([engine]).run(trace).replicas[0]
         # Identical (bucketed) active sets collapse onto cached costs.
         assert report.steps > len(engine._step_cache)
+
+    def test_step_cache_holds_step_costs(self):
+        """The shared cache keeps a StepCost per signature, the three
+        floats the engine reads: about 145 B traced, where the
+        SimulationResult it used to keep took about 950 B."""
+        scheduler = make_scheduler("continuous", TINY_GQA, max_batch=4)
+        engine = ServingEngine(tiny_design(), TINY_GQA, scheduler,
+                               seq_len_bucket=64)
+        trace = steady_trace(n_requests=8, rate_rps=100.0,
+                             prompt=LengthSpec("fixed", value=32),
+                             output=LengthSpec("fixed", value=16))
+        ServingCluster([engine]).run(trace)
+        cached = engine._step_cache._data
+        assert cached
+        assert all(type(cost) is StepCost for cost in cached.values())
+        # Reprice the cached signatures on the warm surface, enough
+        # times to drain the interpreter's float free list.
+        keys = list(cached) * (4000 // len(cached) + 1)
+        costs = [None] * len(keys)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i, key in enumerate(keys):
+                costs[i] = engine._surface.step_cost(*key)
+            per_cost = (tracemalloc.get_traced_memory()[0] - base) \
+                / len(keys)
+        finally:
+            tracemalloc.stop()
+        assert costs[:len(cached)] == list(cached.values())
+        assert per_cost < 200
 
     def test_engine_prices_kv_at_its_schedulers_width(self):
         """An engine over an 8-bit scheduler prices every step's KV at
