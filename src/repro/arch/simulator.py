@@ -76,23 +76,6 @@ def op_terms(design, op, frequency_hz: float) -> tuple:
             comm_seconds * frequency_hz, macs)
 
 
-def step_roofline(compute_seconds: float, memory_seconds: float,
-                  comm_seconds: float, comm_overlap: float) -> float:
-    """Wall time of one step: the compute/memory roofline plus the
-    exposed (non-overlapped) share of collective communication, never
-    less than the communication time itself.
-
-    :attr:`SimulationResult.step_seconds` and
-    :meth:`repro.llm.StepCostSurface.step_cost` both call this, so the
-    two views of a step's cost cannot drift apart.
-    """
-    base = max(compute_seconds, memory_seconds)
-    if not comm_seconds:
-        return base
-    exposed = comm_seconds * (1.0 - comm_overlap)
-    return max(base + exposed, comm_seconds)
-
-
 @dataclass
 class SimulationResult:
     """Aggregate metrics of one workload on one design.
@@ -123,9 +106,14 @@ class SimulationResult:
 
     @property
     def step_seconds(self) -> float:
-        """Wall time per decode step (:func:`step_roofline`)."""
-        return step_roofline(self.compute_seconds, self.memory_seconds,
-                             self.comm_seconds, self.comm_overlap)
+        """Wall time per decode step: compute/memory roofline plus the
+        exposed (non-overlapped) share of collective communication —
+        never less than the communication time itself."""
+        base = max(self.compute_seconds, self.memory_seconds)
+        if not self.comm_seconds:
+            return base
+        exposed = self.comm_seconds * (1.0 - self.comm_overlap)
+        return max(base + exposed, self.comm_seconds)
 
     @property
     def throughput_tokens_s(self) -> float:

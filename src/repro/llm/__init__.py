@@ -27,7 +27,6 @@ from .moe import (
     mixtral_like,
 )
 from .workload import (
-    StepCost,
     StepCostSurface,
     build_chunked_prefill_ops,
     build_decode_ops,
@@ -49,7 +48,6 @@ __all__ = [
     "MODELS",
     "MoEConfig",
     "ModelConfig",
-    "StepCost",
     "StepCostSurface",
     "SWINV2_LARGE",
     "SWINV2_TINY",

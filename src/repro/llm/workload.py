@@ -20,10 +20,11 @@ plus collectives for a tensor/pipeline-parallel chip grid
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, NamedTuple
+
+from typing import TYPE_CHECKING
 
 from ..arch.designs.base import GemmOp, NonlinearOp
-from ..arch.simulator import SimulationResult, op_terms, step_roofline
+from ..arch.simulator import SimulationResult, op_terms
 from ..errors import ConfigError
 from .config import ModelConfig
 
@@ -428,17 +429,6 @@ def build_prefill_ops(config: ModelConfig, batch: int, seq_len: int,
     return [op for _ in range(config.n_layers) for op in layer]
 
 
-class StepCost(NamedTuple):
-    """What one serving step adds to a report: its wall time, its
-    dynamic energy and its collective-communication time (0 on a
-    single chip).  :meth:`StepCostSurface.step_cost` builds it; the
-    serving engine caches one per step signature."""
-
-    step_seconds: float
-    dynamic_energy_j: float
-    comm_seconds: float
-
-
 class StepCostSurface:
     """Precomputed per-design cost tables for fused serving steps.
 
@@ -468,21 +458,11 @@ class StepCostSurface:
     sums are compensated): relative drift is ~1e-14, and MAC counts
     stay exact integers.
 
-    One private fold (:meth:`_fold`) sums a signature's components, and
-    two views read it.  :meth:`price_step` builds the full
-    :class:`repro.arch.SimulationResult` (breakdowns, MAC and HBM
-    totals) that analysis callers and the autoscaler's probe read;
-    :meth:`step_cost` builds the :class:`StepCost` the serving engine
-    caches, the three floats a step adds to a report, equal bit for
-    bit to ``price_step``'s ``step_seconds``, ``dynamic_energy_j`` and
-    ``comm_seconds``.
-
     One surface serves one ``(design, config, woq/kvq bits, lm_head)``
     combination; :mod:`repro.serve.costs` shares surfaces (and the
-    signature-level step-cost cache built on top) across engines
-    serving identical replicas.  Like the design-level cost memo, a
-    surface assumes the design is immutable once it has priced
-    anything.
+    signature-level result cache built on top) across engines serving
+    identical replicas.  Like the design-level cost memo, a surface
+    assumes the design is immutable once it has priced anything.
 
     Auxiliary ops (``include_aux_ops``) are not supported — the serving
     engine never emits them; use the op builders directly for those
@@ -524,8 +504,8 @@ class StepCostSurface:
             "dense": {}, "decode": {}, "chunk": {}, "head": {}}
 
     # -- component pricing ----------------------------------------------
-    # Each builder prices one component and stores it: _fold reads the
-    # tables directly and calls a builder only on a miss.
+    # Each builder prices one component and stores it: price_step reads
+    # the tables directly and calls a builder only on a miss.
     def _decode_component(self, seq_len: int, seqs: int) -> tuple:
         """Decode-attention component of ``seqs`` sequences at one
         context length."""
@@ -618,10 +598,8 @@ class StepCostSurface:
             [_lm_head_op(self.config, out_tokens, self.woq_bits)])
 
     # -- signature pricing ----------------------------------------------
-    def _fold(self, prefill_lens, decode_lens, chunk_hist) -> tuple:
-        """``(vec, macs, batch)`` of one engine step signature: the
-        column totals in the :attr:`_WIDTH` accumulator layout, the MAC
-        count and the active sequences.
+    def price_step(self, prefill_lens, decode_lens, chunk_hist):
+        """Price one engine step signature into a ``SimulationResult``.
 
         The inputs are the three parts of
         :meth:`repro.serve.ServingEngine._signature`: bucketed prompt
@@ -639,7 +617,8 @@ class StepCostSurface:
         lengths group by value, not by run), then one chunk pair per
         distinct ``(past, new)`` in order of first occurrence, chunks
         before whole prompts.  Each column is one builtin ``sum`` over
-        that list, scaled by ``n_layers``, plus the LM head.
+        that list, scaled by ``n_layers``, plus the LM head; the totals
+        add the columns left to right.
         """
         tables = self._tables
         n_decode = len(decode_lens)
@@ -696,19 +675,7 @@ class StepCostSurface:
             macs += head_macs
         else:
             vec = [column * n_layers for column in map(sum, zip(*parts))]
-        return vec, macs, batch
 
-    def price_step(self, prefill_lens, decode_lens, chunk_hist):
-        """Price one engine step signature into a ``SimulationResult``.
-
-        The full view of :meth:`_fold` (which documents the inputs and
-        the fold order), with the per-kind breakdowns, MAC and HBM
-        totals the analysis callers read; the totals add the columns
-        left to right.  :meth:`step_cost` is the serving engine's view
-        of the same fold.
-        """
-        vec, macs, batch = self._fold(prefill_lens, decode_lens,
-                                      chunk_hist)
         tech = self.tech
         total_cycles = vec[0] + vec[1] + vec[2] + vec[3]
         energy_pj = vec[4] + vec[5] + vec[6] + vec[7] + vec[self._E_COMM]
@@ -735,28 +702,6 @@ class StepCostSurface:
             total_macs=macs,
             comm_seconds=comm_seconds,
             comm_overlap=self._comm_overlap)
-
-    def step_cost(self, prefill_lens, decode_lens, chunk_hist) -> StepCost:
-        """Price one engine step signature into a :class:`StepCost`.
-
-        The serving engine's view of :meth:`_fold`: the three floats a
-        step adds to a report, equal bit for bit to
-        :meth:`price_step`'s ``step_seconds``, ``dynamic_energy_j`` and
-        ``comm_seconds`` (the same column additions, and the same
-        :func:`repro.arch.simulator.step_roofline`), without the
-        breakdown dicts and the dataclass.
-        """
-        vec = self._fold(prefill_lens, decode_lens, chunk_hist)[0]
-        tech = self.tech
-        comm_seconds = vec[self._COMM_S]
-        return StepCost(
-            step_roofline(
-                (vec[0] + vec[1] + vec[2] + vec[3]) * tech.cycle_seconds,
-                vec[self._HBM] / tech.hbm_bandwidth_bytes, comm_seconds,
-                self._comm_overlap),
-            (vec[4] + vec[5] + vec[6] + vec[7] + vec[self._E_COMM])
-            * 1e-12,
-            comm_seconds)
 
 
 def gemm_macs(ops: list) -> int:

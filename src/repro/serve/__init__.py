@@ -48,7 +48,12 @@ from .autoscale import (
     make_autoscaler,
 )
 from .cluster import Replica, ServingCluster, make_cluster, simulate_trace
-from .costs import StepCostCache, aggregate_cache_stats, step_cost_store
+from .costs import (
+    StepCost,
+    StepCostCache,
+    aggregate_cache_stats,
+    step_cost_store,
+)
 from .engine import ServingEngine
 from .kv_cache import BlockManager, BlockPoolStats
 from .metrics import (
@@ -150,6 +155,7 @@ __all__ = [
     "ServingReport",
     "StaticAutoscaler",
     "StaticBatchScheduler",
+    "StepCost",
     "StepCostCache",
     "StepPlan",
     "SweepExecutor",

@@ -2,11 +2,12 @@
 
 The serving engine prices each step by its active-set *signature*
 (:meth:`repro.serve.ServingEngine._signature`) and caches signature →
-:class:`repro.llm.StepCost`: the step's wall time, dynamic energy and
-communication time, the three floats the engine reads (145 B traced,
-where a :class:`repro.arch.SimulationResult` with its two breakdown
-dicts takes about 950 B).  Before this module that cache lived on each
-engine instance, which had two costs at scale:
+:class:`StepCost`: the step's wall time, dynamic energy and
+communication time, the three floats the engine reads of the
+:class:`repro.arch.SimulationResult` a miss prices (145 B traced,
+where the result with its two breakdown dicts takes about 950 B).
+Before this module that cache lived on each engine instance, which had
+two costs at scale:
 
 * a :class:`repro.serve.ServingCluster` of N identical replicas held N
   private caches, so every signature was re-priced (and re-stored) up
@@ -23,23 +24,24 @@ designs weakly, so retiring a design frees its caches.
 
 Sharing is safe because a design is immutable once it has priced
 anything (the same contract as :func:`repro.arch.designs.base.
-memoize_op_cost`) and cached :class:`~repro.llm.StepCost` values are
-immutable tuples.
+memoize_op_cost`) and cached :class:`StepCost` values are immutable
+tuples.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from ..arch.technology import TECH_45NM
 from ..errors import ConfigError
 from ..llm.workload import StepCostSurface
 
-__all__ = ["StepCostCache", "StepCostStore", "aggregate_cache_stats",
-           "export_store_tables", "install_store_tables",
-           "step_cost_store"]
+__all__ = ["StepCost", "StepCostCache", "StepCostStore",
+           "aggregate_cache_stats", "export_store_tables",
+           "install_store_tables", "step_cost_store"]
 
 #: Default LRU capacity.  An entry is a tuple key and a StepCost value:
 #: about 700 B traced on the ``serve-bulk`` and ``fleet-prefix``
@@ -48,6 +50,19 @@ __all__ = ["StepCostCache", "StepCostStore", "aggregate_cache_stats",
 #: whose working set of *live* signatures is far smaller than the
 #: trace-long union.
 DEFAULT_MAX_ENTRIES = 65536
+
+
+class StepCost(NamedTuple):
+    """What one serving step adds to a report: its wall time, its
+    dynamic energy and its collective-communication time (0 on a
+    single chip), copied from the
+    :class:`~repro.arch.SimulationResult` that
+    :meth:`repro.llm.StepCostSurface.price_step` returns for its
+    signature.  The serving engine caches one per signature."""
+
+    step_seconds: float
+    dynamic_energy_j: float
+    comm_seconds: float
 
 
 class StepCostCache:

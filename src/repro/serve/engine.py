@@ -70,8 +70,7 @@ from typing import NamedTuple
 from ..arch.technology import TECH_45NM
 from ..errors import ConfigError
 from ..llm.config import ModelConfig
-from ..llm.workload import StepCost
-from .costs import step_cost_store
+from .costs import StepCost, step_cost_store
 from .metrics import RequestRecord, ServingReport
 from .scheduler import Scheduler, StepPlan
 from .trace import Request
@@ -82,8 +81,8 @@ class Resume(NamedTuple):
 
     Either the rest of a window the horizon cut (``window`` steps left,
     the first ``run`` of them at ``cost``, the current segment's
-    :class:`~repro.llm.StepCost`; ``run`` 0 means the next step opens a
-    segment; ``ends`` when the window's last step completes a
+    :class:`~repro.serve.costs.StepCost`; ``run`` 0 means the next step
+    opens a segment; ``ends`` when the window's last step completes a
     sequence), or a scheduler's successor plan (``window`` 0: not yet
     bounded; ``cost`` None, as its first step opens a segment).  Either
     is valid only while nothing is submitted (``epoch``, the
@@ -198,16 +197,19 @@ class ServingEngine:
         all probe it the same way.
 
         A miss prices through
-        :meth:`repro.llm.StepCostSurface.step_cost`, so the cache holds
-        :class:`~repro.llm.StepCost` values, the three floats the
-        engine reads, and no :class:`~repro.arch.SimulationResult`.
+        :meth:`repro.llm.StepCostSurface.price_step` and keeps the
+        three floats the engine reads of its result as a
+        :class:`~repro.serve.costs.StepCost`, so the cache holds no
+        :class:`~repro.arch.SimulationResult`.
         """
         cost = self._step_cache.get(key)
         if cost is not None:
             self._cache_hits += 1
             return cost
         self._cache_misses += 1
-        cost = self._surface.step_cost(*key)
+        result = self._surface.price_step(*key)
+        cost = StepCost(result.step_seconds, result.dynamic_energy_j,
+                        result.comm_seconds)
         if self.seq_len_bucket > 1:
             # In exact mode nearly every step's signature is unique
             # (contexts grow each step), so storing would only churn

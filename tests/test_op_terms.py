@@ -37,7 +37,6 @@ from repro.llm import (
     LLAMA2_7B,
     LLAMA2_70B_GQA,
     ModelConfig,
-    StepCost,
     StepCostSurface,
     build_chunked_prefill_ops,
     build_decode_ops,
@@ -446,23 +445,6 @@ class TestPriceStepPinned:
                 value = getattr(got, field_name)
                 assert type(value) is type(want), field_name
                 assert repr(value) == repr(want), (field_name, signature)
-
-    @pytest.mark.parametrize("name", sorted(PINNED_DESIGNS))
-    def test_step_cost_is_price_steps_floats(self, name):
-        """``step_cost``, the serving engine's view of the fold, equals
-        ``price_step``'s ``step_seconds``, ``dynamic_energy_j`` and
-        ``comm_seconds`` bit for bit: on one chip, and on TP-2, whose
-        communication and overlap are nonzero."""
-        surface = StepCostSurface(PINNED_DESIGNS[name](), LLAMA2_70B_GQA)
-        for signature in pinned_signatures():
-            result = surface.price_step(*signature)
-            cost = surface.step_cost(*signature)
-            assert type(cost) is StepCost
-            assert [repr(value) for value in cost] == [
-                repr(result.step_seconds), repr(result.dynamic_energy_j),
-                repr(result.comm_seconds)], signature
-            assert (result.comm_seconds > 0 and result.comm_overlap > 0) \
-                == (name == "tp2")
 
     def test_signatures_cover_every_shape(self):
         signatures = pinned_signatures()

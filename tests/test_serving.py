@@ -19,12 +19,12 @@ from repro.arch import GemmOp
 from repro.llm import (
     LLAMA2_70B_GQA,
     ModelConfig,
-    StepCost,
     build_decode_ops,
     build_prefill_ops,
     build_ragged_decode_ops,
     build_serving_step_ops,
 )
+from repro.parallel import ParallelConfig, ShardedSystem
 from repro.serve import (
     SCHEDULERS,
     LengthSpec,
@@ -32,6 +32,7 @@ from repro.serve import (
     Request,
     ServingCluster,
     ServingEngine,
+    StepCost,
     TenantSpec,
     bursty_trace,
     make_scheduler,
@@ -515,33 +516,68 @@ class TestEngine:
         # Identical (bucketed) active sets collapse onto cached costs.
         assert report.steps > len(engine._step_cache)
 
-    def test_step_cache_holds_step_costs(self):
-        """The shared cache keeps a StepCost per signature, the three
-        floats the engine reads: about 145 B traced, where the
-        SimulationResult it used to keep took about 950 B."""
-        scheduler = make_scheduler("continuous", TINY_GQA, max_batch=4)
-        engine = ServingEngine(tiny_design(), TINY_GQA, scheduler,
+    @pytest.mark.parametrize("sharded", [False, True],
+                             ids=["mugi", "tp2"])
+    def test_step_cache_holds_price_steps_floats(self, sharded):
+        """The shared cache keeps a StepCost per signature: the
+        ``step_seconds``, ``dynamic_energy_j`` and ``comm_seconds`` of
+        ``price_step``'s result, bit for bit, on one chip and on TP-2,
+        whose communication and overlap are nonzero."""
+        design = make_design("mugi", 256)
+        if sharded:
+            design = ShardedSystem(make_design("mugi", 128), TINY_GQA,
+                                   ParallelConfig(tp=2))
+        engine = ServingEngine(design, TINY_GQA,
+                               make_scheduler("continuous", TINY_GQA,
+                                              max_batch=4),
                                seq_len_bucket=64)
+        ServingCluster([engine]).run(poisson_trace(
+            n_requests=24, rate_rps=50.0, prompt=SHORT, output=SHORT,
+            seed=5))
+        cached = engine._step_cache._data
+        assert len(cached) > 1
+        for key, cost in cached.items():
+            result = engine._surface.price_step(*key)
+            assert type(cost) is StepCost
+            assert [repr(value) for value in cost] == [
+                repr(result.step_seconds), repr(result.dynamic_energy_j),
+                repr(result.comm_seconds)], key
+            assert (result.comm_seconds > 0 and result.comm_overlap > 0) \
+                == sharded
+
+    def test_cached_step_cost_is_small(self):
+        """A cached value traces about 145 B, where the
+        SimulationResult the cache used to keep took about 950 B.  An
+        exact-mode engine (``seq_len_bucket=1``) stores nothing, so
+        each of its ``_price`` calls below misses and builds a fresh
+        value through the engine's own miss path."""
         trace = steady_trace(n_requests=8, rate_rps=100.0,
                              prompt=LengthSpec("fixed", value=32),
                              output=LengthSpec("fixed", value=16))
-        ServingCluster([engine]).run(trace)
-        cached = engine._step_cache._data
+        engines = [ServingEngine(tiny_design(), TINY_GQA,
+                                 make_scheduler("continuous", TINY_GQA,
+                                                max_batch=4),
+                                 seq_len_bucket=bucket)
+                   for bucket in (64, 1)]
+        bucketed, exact = engines
+        ServingCluster([bucketed]).run(trace)
+        cached = bucketed._step_cache._data
         assert cached
-        assert all(type(cost) is StepCost for cost in cached.values())
-        # Reprice the cached signatures on the warm surface, enough
-        # times to drain the interpreter's float free list.
+        for key in cached:  # Warm the exact engine's surface tables.
+            exact._price(key)
+        # Enough misses to drain the interpreter's float free list.
         keys = list(cached) * (4000 // len(cached) + 1)
         costs = [None] * len(keys)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             for i, key in enumerate(keys):
-                costs[i] = engine._surface.step_cost(*key)
+                costs[i] = exact._price(key)
             per_cost = (tracemalloc.get_traced_memory()[0] - base) \
                 / len(keys)
         finally:
             tracemalloc.stop()
+        assert not exact._step_cache
         assert costs[:len(cached)] == list(cached.values())
         assert per_cost < 200
 
