@@ -146,25 +146,21 @@ def fleet_point(label: str, autoscaler: str, trace: TraceSpec,
 
 def run_scaler_comparison(model=SERVE_MODEL, seed: int = 11,
                           scalers=tuple(SCALERS), jobs: int = 1,
-                          duration_s: float = DAY_S,
-                          executor=None) -> list[FleetPoint]:
+                          duration_s: float = DAY_S) -> list[FleetPoint]:
     """Every scaler on the same diurnal multi-tenant day.
 
     Runs through :func:`repro.serve.run_sweep`; ``jobs>1`` fans the
-    scalers over worker processes with identical results.  An
-    ``executor`` (:class:`repro.serve.SweepExecutor`) session takes
-    precedence over ``jobs`` and shares its pool and caches.
+    scalers over worker processes with identical results.
     """
     trace = diurnal_trace_spec(seed=seed, duration_s=duration_s)
     points = [fleet_point(name, name, trace, model=model)
               for name in scalers]
-    sweep = executor.run(points) if executor is not None \
-        else run_sweep(points, jobs=jobs)
+    sweep = run_sweep(points, jobs=jobs)
     return [FleetPoint.of(outcome.report) for outcome in sweep]
 
 
 def run_headline(model=SERVE_MODEL, seed: int = 11,
-                 jobs: int = 1, executor=None) -> dict:
+                 jobs: int = 1) -> dict:
     """Acceptance headline: SLO-aware scaling vs static provisioning.
 
     Equal fleet ceiling, same diurnal two-tenant day, same fair-share
@@ -177,8 +173,7 @@ def run_headline(model=SERVE_MODEL, seed: int = 11,
     trace = diurnal_trace_spec(seed=seed)
     points = [fleet_point(name, name, trace, model=model)
               for name in ("static", "reactive", "predictive")]
-    sweep = executor.run(points) if executor is not None \
-        else run_sweep(points, jobs=jobs)
+    sweep = run_sweep(points, jobs=jobs)
     reports = {outcome.label: outcome.report for outcome in sweep}
     points = {label: FleetPoint.of(report)
               for label, report in reports.items()}

@@ -161,21 +161,17 @@ def run_router_comparison(model: ModelConfig = SERVE_MODEL,
                           rate_per_replica: float =
                           DEFAULT_RATE_PER_REPLICA,
                           routers=ROUTER_POLICIES,
-                          seed: int = 0, jobs: int = 1,
-                          executor=None) -> list[ClusterPoint]:
+                          seed: int = 0, jobs: int = 1) -> list[ClusterPoint]:
     """Every router on the same saturating shared-prefix trace.
 
     Runs through :func:`repro.serve.run_sweep`; ``jobs>1`` fans the
-    routers over worker processes with identical results.  An
-    ``executor`` (:class:`repro.serve.SweepExecutor`) session takes
-    precedence over ``jobs`` and shares its pool and caches.
+    routers over worker processes with identical results.
     """
     trace = cluster_trace_spec(n_requests,
                                rate_per_replica * n_replicas, seed=seed)
     points = [_cluster_point(router, model, n_replicas, router, trace)
               for router in routers]
-    sweep = executor.run(points) if executor is not None \
-        else run_sweep(points, jobs=jobs)
+    sweep = run_sweep(points, jobs=jobs)
     return [ClusterPoint.of(outcome.report) for outcome in sweep]
 
 
@@ -184,24 +180,21 @@ def run_replica_scaling(model: ModelConfig = SERVE_MODEL,
                         n_requests: int = 320,
                         rate_per_replica: float = DEFAULT_RATE_PER_REPLICA,
                         router: str = "prefix-affinity",
-                        seed: int = 0, jobs: int = 1,
-                        executor=None) -> list[ClusterPoint]:
+                        seed: int = 0, jobs: int = 1) -> list[ClusterPoint]:
     """Goodput vs replica count at a fixed per-replica offered load."""
     points = [_cluster_point(f"x{n}", model, n, router,
                              cluster_trace_spec(n_requests,
                                                 rate_per_replica * n,
                                                 seed=seed))
               for n in replica_counts]
-    sweep = executor.run(points) if executor is not None \
-        else run_sweep(points, jobs=jobs)
+    sweep = run_sweep(points, jobs=jobs)
     return [ClusterPoint.of(outcome.report) for outcome in sweep]
 
 
 def run_disaggregation(model: ModelConfig = SERVE_MODEL,
                        n_replicas: int = 4, n_requests: int = 300,
                        rate_per_replica: float = 0.5,
-                       seed: int = 0, jobs: int = 1,
-                       executor=None) -> list[ClusterPoint]:
+                       seed: int = 0, jobs: int = 1) -> list[ClusterPoint]:
     """Unified vs disaggregated pools at equal total replicas.
 
     A chat trace (long decodes, :data:`DISAGG_OUTPUT_SPEC`): the
@@ -221,8 +214,7 @@ def run_disaggregation(model: ModelConfig = SERVE_MODEL,
               _cluster_point("disaggregated", model, n_replicas,
                              "least-outstanding", trace,
                              mode="disaggregated")]
-    sweep = executor.run(points) if executor is not None \
-        else run_sweep(points, jobs=jobs)
+    sweep = run_sweep(points, jobs=jobs)
     return [ClusterPoint.of(outcome.report, tpot_slo_s=TPOT_SLO_S)
             for outcome in sweep]
 
@@ -230,7 +222,7 @@ def run_disaggregation(model: ModelConfig = SERVE_MODEL,
 def run_headline(model: ModelConfig = SERVE_MODEL, n_replicas: int = 4,
                  n_requests: int = 600,
                  rate_per_replica: float = DEFAULT_RATE_PER_REPLICA,
-                 seed: int = 7, jobs: int = 1, executor=None) -> dict:
+                 seed: int = 7, jobs: int = 1) -> dict:
     """Acceptance headline: prefix-affinity vs round-robin goodput.
 
     Equal silicon (same replicas, same per-replica KV budget), same
@@ -244,8 +236,7 @@ def run_headline(model: ModelConfig = SERVE_MODEL, n_replicas: int = 4,
     shared = sum(r.prefix_group is not None for r in spec.realize())
     points = [_cluster_point(router, model, n_replicas, router, spec)
               for router in ("round-robin", "prefix-affinity")]
-    sweep = executor.run(points) if executor is not None \
-        else run_sweep(points, jobs=jobs)
+    sweep = run_sweep(points, jobs=jobs)
     reports = {outcome.label: outcome.report for outcome in sweep}
     return {
         "n_requests": n_requests,

@@ -62,7 +62,7 @@ def run_load_sweep(loads=DEFAULT_LOADS, designs=SERVE_DESIGNS,
                    n_requests: int = 150,
                    max_batch: int = 8, policy: str = "continuous",
                    seq_len_bucket: int = 32, seed: int = 0,
-                   jobs: int = 1, executor=None) -> list[LoadPoint]:
+                   jobs: int = 1) -> list[LoadPoint]:
     """Sweep offered load per design; one trace per load (shared across
     designs so curves differ only by hardware).
 
@@ -74,10 +74,7 @@ def run_load_sweep(loads=DEFAULT_LOADS, designs=SERVE_DESIGNS,
     executes inline exactly as the old sequential loop did, ``jobs>1``
     fans the (design x load) points over worker processes.  Points are
     pure functions of their spec, so the returned curve is identical
-    for any ``jobs``.  Passing an ``executor``
-    (:class:`repro.serve.SweepExecutor`) runs on that session instead
-    — its pool width wins over ``jobs`` — so repeated sweeps amortize
-    pool spawns and share caches.
+    for any ``jobs``.
     """
     kv_capacity = model.kv_cache_bytes(seq_len=model.max_seq_len,
                                        batch=max_batch)
@@ -94,10 +91,9 @@ def run_load_sweep(loads=DEFAULT_LOADS, designs=SERVE_DESIGNS,
                 policy=policy, max_batch=max_batch,
                 kv_capacity_bytes=kv_capacity,
                 seq_len_bucket=seq_len_bucket))
-    sweep = executor.run(points) if executor is not None \
-        else run_sweep(points, jobs=jobs)
+    sweep = run_sweep(points, jobs=jobs)
     # Labels/areas come from a throwaway instance per design kind; the
-    # executor resolves its own (memoized) instances for the runs.
+    # sweep resolves its own (memoized) instances for the runs.
     cards = {spec: make_design(*spec) for spec in
              {p.design for p in points}}
     results = []

@@ -195,9 +195,11 @@ class ReactiveAutoscaler(Autoscaler):
                  scale_down_fraction: float = 0.5,
                  min_replicas: int = 1, max_replicas: int = 4):
         super().__init__(min_replicas, max_replicas)
-        if target_tokens_per_replica <= 0:
+        # Written so NaN fails too: a NaN target never resizes the fleet,
+        # and an infinite one can only shrink it.
+        if not 0 < target_tokens_per_replica < math.inf:
             raise ConfigError(
-                "target_tokens_per_replica must be positive")
+                "target_tokens_per_replica must be finite and positive")
         if not 0.0 < scale_down_fraction <= 1.0:
             raise ConfigError("scale_down_fraction must be in (0, 1]")
         self.target_tokens_per_replica = target_tokens_per_replica
@@ -234,17 +236,19 @@ class PredictiveAutoscaler(Autoscaler):
                  backlog_tokens_per_replica: float = 200_000.0,
                  min_replicas: int = 1, max_replicas: int = 4):
         super().__init__(min_replicas, max_replicas)
-        if replica_rps <= 0:
-            raise ConfigError("replica_rps must be positive")
+        # Written so NaN fails too: a NaN or infinite knob reaches the
+        # first tick's ceil() as NaN or infinity and raises there.
+        if not 0 < replica_rps < math.inf:
+            raise ConfigError("replica_rps must be finite and positive")
         if not 0.0 < alpha <= 1.0 or not 0.0 <= beta <= 1.0:
             raise ConfigError("alpha must be in (0, 1], beta in [0, 1]")
-        if horizon_s < 0:
-            raise ConfigError("horizon_s must be non-negative")
-        if headroom <= 0:
-            raise ConfigError("headroom must be positive")
-        if backlog_tokens_per_replica <= 0:
+        if not 0 <= horizon_s < math.inf:
+            raise ConfigError("horizon_s must be finite and non-negative")
+        if not 0 < headroom < math.inf:
+            raise ConfigError("headroom must be finite and positive")
+        if not 0 < backlog_tokens_per_replica < math.inf:
             raise ConfigError(
-                "backlog_tokens_per_replica must be positive")
+                "backlog_tokens_per_replica must be finite and positive")
         self.replica_rps = replica_rps
         self.alpha = alpha
         self.beta = beta

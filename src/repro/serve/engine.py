@@ -47,9 +47,12 @@ leaps from it without replanning.  KV/block growth lands in bulk
 :meth:`repro.serve.BlockManager.extend_bulk`), and the per-step
 KV-utilization series is reconstructed exactly, so a leaping run's
 :class:`~repro.serve.ServingReport` is bit-identical to step-by-step
-execution.  Leaping needs ``seq_len_bucket > 1`` (exact mode changes
-every step's signature) and falls back to stepwise execution whenever a
-chunked prefill, swap or admission is in flight.
+execution.  The scheduler's four leap hooks are these two,
+:meth:`~repro.serve.Scheduler.leap_window` and
+:meth:`~repro.serve.Scheduler.arrivals_inert`.  Leaping needs
+``seq_len_bucket > 1`` (exact mode changes every step's signature) and
+falls back to stepwise execution whenever a chunked prefill (even a
+lone one), swap or admission is in flight.
 
 The engine owns no event loop: :class:`repro.serve.ServingCluster`
 drives its :meth:`~ServingEngine.start` / ``submit`` / ``step`` /
@@ -193,8 +196,8 @@ class ServingEngine:
     def _price(self, key: tuple) -> StepCost:
         """The cost of a step with signature ``key`` (see
         :meth:`_signature`), through the shared step cache: a planned
-        step, a decode leap's segment start and a leapt prefill chunk
-        all probe it the same way.
+        step and a decode leap's segment start or completing step probe
+        it the same way.
 
         A miss prices through
         :meth:`repro.llm.StepCostSurface.price_step` and keeps the
@@ -373,12 +376,9 @@ class ServingEngine:
         if finishers:
             self._release(plan, finishers)
         elif prefill or chunks or plan.swap_seconds:
-            if chunks and len(finished_chunks) < len(chunks):
-                # A prompt still prefilling takes another chunk next
-                # step, so no pure-decode successor plan exists.
-                if horizon is not None:
-                    self._chunk_leap(plan, horizon)
-            else:
+            # A prompt still prefilling takes another chunk next step,
+            # so no pure-decode successor plan exists.
+            if not chunks or len(finished_chunks) == len(chunks):
                 self._succeed(plan, [])
         elif horizon is not None:
             self._leap(plan, cost, horizon)
@@ -593,58 +593,6 @@ class ServingEngine:
             report.busy_seconds = reduce(add, repeat(duration, leapt),
                                          report.busy_seconds)
         return leapt
-
-    def _chunk_leap(self, plan: StepPlan, horizon: float) -> None:
-        """Leap a lone mid-prompt prefill chunk's successor chunks.
-
-        A long prompt prefilling alone produces a run of steps that are
-        the same plan with ``past`` advanced by ``chunk_tokens`` — no
-        admission, eviction, or decode event between them (the chunk
-        consumes the whole step budget, so the scheduler's admission
-        loop never runs; :meth:`PagedScheduler.chunk_leap_window` checks
-        the rest).  Unlike a decode leap the cost *changes* every step
-        (``past`` grows), so each leapt step is priced individually
-        through the shared step cache — identical get/put traffic to
-        the stepwise path — while planning and per-chunk block
-        allocation collapse into one bulk commit mirroring
-        :meth:`PagedScheduler.commit_leap`'s exact utilization-series
-        reconstruction.
-        """
-        if not self.leap or self.seq_len_bucket == 1:
-            return
-        if plan.prefill or plan.decode or plan.swap_seconds or \
-                len(plan.chunks) != 1:
-            return
-        task = plan.chunks[0]
-        if task.finishes:
-            return
-        window = self.scheduler.chunk_leap_window(task)
-        if window <= 0:
-            return
-        report = self._report
-        state = task.state
-        past0 = state.prefilled  # Already advanced past the anchor chunk.
-        chunk = task.new
-        b = self.seq_len_bucket
-        leapt = 0
-        while leapt < window and self._now < horizon:
-            past = past0 + leapt * chunk
-            cost = self._price(
-                ((), (), (((-(-past // b) * b, chunk, False), 1),)))
-            duration = cost.step_seconds
-            self._now += duration
-            report.energy_j += cost.dynamic_energy_j
-            report.comm_seconds += cost.comm_seconds
-            report.busy_seconds += duration
-            leapt += 1
-        if leapt == 0:
-            return
-        report.kv_utilization.extend(
-            self.scheduler.commit_chunk_leap(task, leapt))
-        report.peak_kv_bytes = max(report.peak_kv_bytes,
-                                   self.scheduler.reserved_bytes)
-        report.steps += leapt
-        report.leap_steps += leapt
 
     def finish(self) -> ServingReport:
         """Close the session: stamp the makespan, fold scheduler stats."""

@@ -169,10 +169,6 @@ class BlockManager:
         """Blocks currently held by ``seq_id``'s table."""
         return len(self._table[seq_id])
 
-    def write_needs_cow(self, seq_id: int) -> bool:
-        """Would ``seq_id``'s next KV write copy a shared block?"""
-        return self._needs_cow(seq_id, self._tokens[seq_id])
-
     # -- allocation core -------------------------------------------------
     def _take_free(self) -> int:
         """Pop a free block, evicting the LRU cached block if needed."""

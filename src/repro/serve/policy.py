@@ -415,82 +415,6 @@ class PagedScheduler(Scheduler):
             return None
         return StepPlan(decode=decoders)
 
-    # -- chunked-prefill leaping ------------------------------------------
-    def chunk_leap_window(self, task: ChunkTask) -> int:
-        """How many further identical prefill chunks the engine may leap.
-
-        The engine only asks when the anchor plan held exactly one
-        non-finishing chunk and nothing else — every step of the window
-        repeats that plan with ``past`` advanced by one chunk, because
-        the step's whole token budget went to this sequence, so the
-        part-4 admission loop (gated on ``budget > 0``) never ran and
-        the prefix-cache LRU is untouched for the entire window.  The
-        window shrinks to 0 when the extrapolation could diverge from
-        the stepwise schedule:
-
-        * something was preempted in the anchor plan, or swapped-out
-          sequences exist (their swap-in probes run before the budget
-          gate and can move blocks);
-        * the anchor chunk was short of ``chunk_tokens`` (the repeat
-          would not be identical);
-        * the sequence's block table has slack beyond ``tokens_of`` or
-          its next write needs a copy-on-write — either breaks the pure
-          ``blocks_needed`` growth the bulk commit reconstructs;
-
-        and is otherwise bounded by the remaining *full* chunks before
-        the finishing one and by the pool's block supply.
-        """
-        if self._preempted_in_last_plan or self.swapped:
-            return 0
-        if task.new != self.chunk_tokens:
-            return 0
-        state = task.state
-        window = (state.prefill_target - state.prefilled - 1) \
-            // self.chunk_tokens
-        if window <= 0:
-            return 0
-        manager = self.block_manager
-        seq_id = state.request.req_id
-        tokens = manager.tokens_of(seq_id)
-        if manager.blocks_of(seq_id) != manager.blocks_needed(tokens):
-            return 0
-        if manager.write_needs_cow(seq_id):
-            return 0
-        # blocks_needed(tokens + j*chunk) <= available + blocks_needed(
-        # tokens) iff tokens + j*chunk <= that bound times block_size:
-        # the whole window's growth must fit free + evictable blocks.
-        supply_tokens = (manager.available_blocks
-                         + manager.blocks_needed(tokens)) \
-            * manager.block_size - tokens
-        return min(window, supply_tokens // self.chunk_tokens)
-
-    def commit_chunk_leap(self, task: ChunkTask, steps: int) -> list:
-        """Apply ``steps`` leapt prefill chunks of KV growth in one call.
-
-        The exact analogue of :meth:`commit_leap` for a lone chunked
-        prefill: one bulk extend, then the series in closed form (after
-        leapt chunk ``j`` the sequence holds ``blocks_needed(tokens + j
-        * chunk)`` blocks) checked against the pool.
-        """
-        manager = self.block_manager
-        state = task.state
-        seq_id = state.request.req_id
-        chunk = task.new
-        tokens = manager.tokens_of(seq_id)
-        others = manager.live_blocks - manager.blocks_needed(tokens)
-        if not manager.extend_bulk([(seq_id, steps * chunk)]):
-            raise ConfigError("chunk leap overran the block pool; "
-                              "chunk_leap_window under-counted demand")
-        if manager.live_blocks != others + manager.blocks_needed(
-                tokens + steps * chunk):
-            raise ConfigError("chunk-leap block accounting diverged from "
-                              "the pool")
-        state.prefilled += steps * chunk
-        num_blocks = manager.num_blocks
-        size = manager.block_size
-        return [(others + -(-(tokens + j * chunk) // size)) / num_blocks
-                for j in range(1, steps + 1)]
-
     # -- preemption ------------------------------------------------------
     def _pick_victim(self, exclude_ids: set) -> PagedSequenceState | None:
         candidates = [s for s in self.running if id(s) not in exclude_ids]

@@ -115,7 +115,9 @@ class Scheduler:
     validated cohort at once in ``_enqueue_cohort``); gives a released
     cohort's KV back in ``_free_cohort``, in cohort order; defines
     ``has_work``, ``plan_step`` and ``kv_utilization``; and overrides
-    the leap hooks where its own state bounds a leap.
+    the four leap hooks (:meth:`arrivals_inert`, :meth:`leap_window`,
+    :meth:`successor_plan`, :meth:`commit_leap`) where its own state
+    bounds a leap.
 
     Parameters
     ----------
@@ -352,11 +354,6 @@ class Scheduler:
         which happens inside a leap.
         """
         return [self.kv_utilization()] * steps
-
-    def chunk_leap_window(self, task) -> int:
-        """How many further identical prefill chunks the engine may leap
-        after a lone chunk ``task`` (0 by default: no chunk leaps)."""
-        return 0
 
     def runtime_stats(self) -> dict:
         """Post-run counters folded into the :class:`ServingReport`."""

@@ -58,6 +58,7 @@ memoization off, so existing callers keep their exact semantics
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import time
 from collections import OrderedDict
@@ -151,9 +152,12 @@ class TraceSpec:
             if not self.tenants:
                 raise ConfigError(
                     "multi-tenant trace needs a TenantSpec tuple")
-            if self.duration_s <= 0:
+            # Written so NaN fails too (see multi_tenant_trace).
+            if not (0 < self.duration_s < math.inf
+                    and 0 < self.day_s < math.inf):
                 raise ConfigError(
-                    "multi-tenant trace needs a positive duration_s")
+                    "multi-tenant trace needs a finite, positive "
+                    "duration_s and day_s")
         elif self.tenants:
             raise ConfigError(
                 f"tenants only apply to kind='multi-tenant', "

@@ -399,16 +399,18 @@ class TenantSpec:
     def __post_init__(self):
         if self.tenant < 0:
             raise ConfigError("tenant id must be non-negative")
-        if self.rate_rps <= 0:
-            raise ConfigError("rate_rps must be positive")
+        # Written so NaN fails too: a NaN peak thins away every arrival
+        # and a NaN jitter is silently skipped.
+        if not 0 < self.rate_rps < math.inf:
+            raise ConfigError("rate_rps must be finite and positive")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ConfigError("diurnal_amplitude must be in [0, 1)")
-        if self.peak_s < 0:
-            raise ConfigError("peak_s must be non-negative")
+        if not 0 <= self.peak_s < math.inf:
+            raise ConfigError("peak_s must be finite and non-negative")
         if self.burst_size < 1:
             raise ConfigError("burst_size must be positive")
-        if self.burst_jitter_s < 0:
-            raise ConfigError("burst_jitter_s must be non-negative")
+        if not 0 <= self.burst_jitter_s < math.inf:
+            raise ConfigError("burst_jitter_s must be finite and non-negative")
 
 
 def _thinned_arrivals(event_rate: float, amplitude: float, peak_s: float,
@@ -467,8 +469,9 @@ def multi_tenant_trace(tenants, duration_s: float, day_s: float = 86400.0,
     ids = [spec.tenant for spec in tenants]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate tenant ids in multi-tenant trace")
-    if duration_s <= 0 or day_s <= 0:
-        raise ConfigError("duration_s and day_s must be positive")
+    if not (0 < duration_s < math.inf and 0 < day_s < math.inf):
+        raise ConfigError("duration_s and day_s must be finite and "
+                          "positive")
     rng = _resolve_rng(seed, rng)
     columns = []
     group_base = 0

@@ -253,6 +253,23 @@ class TestScalerDecisions:
         with pytest.raises(ConfigError, match="horizon_s"):
             PredictiveAutoscaler(horizon_s=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_reactive_rejects_non_finite(self, value):
+        # A NaN target would never resize the fleet, and an infinite one
+        # could only shrink it.
+        with pytest.raises(ConfigError, match="target_tokens_per_replica "
+                                              "must be finite "):
+            ReactiveAutoscaler(target_tokens_per_replica=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["replica_rps", "horizon_s",
+                                      "headroom",
+                                      "backlog_tokens_per_replica"])
+    def test_predictive_rejects_non_finite(self, name, value):
+        # Each would reach the first tick's ceil() and raise there.
+        with pytest.raises(ConfigError, match=f"{name} must be finite "):
+            PredictiveAutoscaler(**{name: value})
+
 
 class TestMultiTenantTrace:
     def test_deterministic_per_seed(self):
@@ -328,6 +345,28 @@ class TestMultiTenantTrace:
             TenantSpec(tenant=0, rate_rps=1.0, diurnal_amplitude=1.0)
         with pytest.raises(ConfigError, match="burst_size"):
             TenantSpec(tenant=0, rate_rps=1.0, burst_size=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["rate_rps", "peak_s",
+                                      "burst_jitter_s"])
+    def test_tenant_rejects_non_finite(self, name, value):
+        # A NaN peak would thin away every arrival and a NaN jitter be
+        # skipped; a non-finite rate would fail mid-generation.
+        kwargs = {"tenant": 0, "rate_rps": 1.0, "burst_size": 2,
+                  "diurnal_amplitude": 0.5, name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be finite "):
+            TenantSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["duration_s", "day_s"])
+    def test_spans_reject_non_finite(self, name, value):
+        spans = {"duration_s": 60.0, name: value}
+        tenants = (TenantSpec(tenant=0, rate_rps=1.0,
+                              diurnal_amplitude=0.5),)
+        with pytest.raises(ConfigError, match="must be finite and "):
+            multi_tenant_trace(tenants, **spans)
+        with pytest.raises(ConfigError, match="finite, positive "):
+            TraceSpec("multi-tenant", tenants=tenants, **spans)
 
 
 class _StubState:

@@ -31,7 +31,7 @@ from repro.serve import (
     poisson_trace,
     simulate_trace,
 )
-from repro.serve.policy import ChunkTask, PagedSequenceState
+from repro.serve.policy import PagedSequenceState
 from repro.serve.scheduler import StepPlan
 
 TINY_GQA = ModelConfig(name="Tiny-GQA", family="llama2", n_layers=2,
@@ -83,13 +83,6 @@ def numpy_series(tokens, size, steps, live0, num_blocks):
     grown = ((tokens[:, None] + js[None, :] + size - 1) // size
              - (tokens[:, None] + size - 1) // size).sum(axis=0)
     return ((live0 + grown) / num_blocks).tolist()
-
-
-def numpy_chunk_series(tokens, chunk, size, steps, live0, num_blocks):
-    js = np.arange(1, steps + 1, dtype=np.int64)
-    grown = ((tokens + js * chunk + size - 1) // size
-             - (tokens + size - 1) // size)
-    return [(live0 + int(g)) / num_blocks for g in grown]
 
 
 def loop_advance(acc, duration, energy, comm, window, horizon):
@@ -243,42 +236,6 @@ class TestCommitLeapSeries:
                 twin_manager.blocks_of(seq_id)
         assert (manager.free_blocks, manager.cached_blocks) == \
             (twin_manager.free_blocks, twin_manager.cached_blocks)
-        manager.check_invariants()
-
-    @settings(max_examples=150, deadline=None)
-    @given(size=st.sampled_from(BLOCK_SIZES),
-           others=st.lists(st.integers(1, 120), max_size=8),
-           tokens=st.integers(1, 400), chunk=st.integers(1, 200),
-           steps=st.integers(1, 12), spare=st.integers(0, 3),
-           cached=st.integers(0, 3))
-    def test_chunk_series_matches_single_chunk_extends(
-            self, size, others, tokens, chunk, steps, spare, cached):
-        # A chunk leap's sequence holds exactly the blocks its tokens
-        # need, beside other live sequences; the pool covers the leap.
-        supply = -(-(tokens + steps * chunk) // size) \
-            - -(-tokens // size) + spare
-        cached = min(cached, supply)
-        scheduler, plan = paged_state(others + [tokens], size,
-                                      free=supply - cached, cached=cached)
-        twin, _ = paged_state(others + [tokens], size,
-                              free=supply - cached, cached=cached)
-        state = plan.decode[-1]
-        manager, twin_manager = scheduler.block_manager, twin.block_manager
-        live0, num_blocks = manager.live_blocks, manager.num_blocks
-        seq_id = state.request.req_id
-        stepwise = []
-        for _ in range(steps):
-            assert twin_manager.extend(seq_id, chunk)
-            stepwise.append(twin_manager.live_blocks / num_blocks)
-
-        task = ChunkTask(state=state, past=tokens - chunk, new=chunk,
-                         finishes=False)
-        series = scheduler.commit_chunk_leap(task, steps)
-        assert series == stepwise
-        assert series == numpy_chunk_series(tokens, chunk, size, steps,
-                                            live0, num_blocks)
-        assert state.prefilled == tokens + steps * chunk
-        assert manager.live_blocks == twin_manager.live_blocks
         manager.check_invariants()
 
 

@@ -573,6 +573,35 @@ class TestLeapSegments:
             make_design("mugi", 64), TINY_GQA, trace, policy="continuous",
             max_batch=6, seq_len_bucket=32, leap=False))
 
+    def test_lone_long_prompt_counters_pinned(self):
+        """A long prompt prefilling alone is planned chunk by chunk, like
+        every other prefill step.  The paged serving model (4 layers),
+        Mugi(256), chunk 256, block 16 and bucket 32 serve one
+        2,048-token prompt with 8 outputs: eight chunks, the last of
+        which emits the first token, then seven decode steps from its
+        successor plan, whose first step opens a segment and whose last
+        leaves no work, so it stays planned.  The eight chunks miss the
+        step cache, as does the decode segment, and the completing step
+        hits it."""
+        from repro.analysis.experiments.paged_serving import SERVE_MODEL
+        trace = [Request(req_id=0, arrival_s=0.0, prompt_len=2048,
+                         output_len=8)]
+
+        def serve(leap):
+            scheduler = make_scheduler("paged", SERVE_MODEL, max_batch=8,
+                                       block_size=16, chunk_tokens=256)
+            engine = ServingEngine(make_design("mugi", 256), SERVE_MODEL,
+                                   scheduler, seq_len_bucket=32, leap=leap)
+            plans = count_plans(scheduler)
+            return ServingCluster([engine]).run(trace).replicas[0], plans
+
+        report, plans = serve(True)
+        assert diagnostics(report) == (15, 5, 1, 9)
+        assert plans[0] == 9
+        slow, slow_plans = serve(False)
+        assert_reports_identical(report, slow)
+        assert slow.step_cache_misses == 9 and slow_plans[0] == 15
+
     def test_fair_share_cluster_counters_pinned(self):
         """Two paged fair-share replicas: each replica's leaps are cut by
         the other's arrivals, at segment starts and inside segments."""
