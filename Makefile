@@ -3,7 +3,7 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint demos bench-gate bench-baseline sweep-smoke \
-	search-smoke auto-config serving-claims paper-claims
+	search-smoke serving-claims paper-claims
 
 test:
 	$(PY) -m pytest -x -q
@@ -50,11 +50,13 @@ serving-claims:
 		benchmarks/bench_table3_end_to_end.py --benchmark-disable -q
 
 # The paper's figure and ablation claims asserted by their benches:
-# every Fig. bench except Fig. 4 and Fig. 6 (which wait for smoke-sized
-# configs), both ablation benches, and the parallel-scaling sweep.
-# About 30 s on a 2-vCPU host, most of it Fig. 7's per-layer tuning.
+# every Fig. bench, both ablation benches, and the parallel-scaling
+# sweep.  About 40 s on a 2-vCPU host, most of it Fig. 4 training its
+# four model families (Figs. 6 and 7 reuse the trained decoder LM).
 paper-claims:
-	$(PY) -m pytest benchmarks/bench_fig07_per_layer_tuning.py \
+	$(PY) -m pytest benchmarks/bench_fig04_distributions.py \
+		benchmarks/bench_fig06_accuracy_sweep.py \
+		benchmarks/bench_fig07_per_layer_tuning.py \
 		benchmarks/bench_fig08_relative_error.py \
 		benchmarks/bench_fig11_nonlinear_iso_area.py \
 		benchmarks/bench_fig12_gemm_iso_area.py \
@@ -78,6 +80,3 @@ sweep-smoke:
 # end-to-end with real workers.
 search-smoke:
 	$(PY) -m repro.analysis.experiments auto_config --smoke
-
-# Back-compat alias for the registry smoke above.
-auto-config: search-smoke

@@ -37,10 +37,6 @@ class NonlinearPoint:
     area_mm2: float
 
     @property
-    def throughput_per_area(self) -> float:
-        return self.throughput / self.area_mm2
-
-    @property
     def power_efficiency(self) -> float:
         return self.throughput / self.power_w
 

@@ -99,8 +99,3 @@ def vlp_rope(x: np.ndarray, positions: np.ndarray, config: RopeConfig
         op="cos", mantissa_bits=config.mantissa_bits,
         lut_size=config.lut_size, max_exp=config.max_exp))
     return _rotate(x, sin_approx(angles), cos_approx(angles))
-
-
-def rope_vlp_elements(batch: int, heads: int, head_dim: int) -> int:
-    """VLP lookups needed per decode step: sin + cos per pair lane."""
-    return batch * heads * head_dim  # (head_dim/2 pairs) x 2 functions.

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...errors import ConfigError
-
 
 class Parameter:
     """A trainable tensor with its gradient accumulator."""
@@ -147,10 +145,3 @@ class LayerNorm(Module):
         dxhat = dy * self.gain.value
         return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                       - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-
-
-def check_finite(name: str, x: np.ndarray) -> np.ndarray:
-    """Guard against silent NaN propagation during training."""
-    if not np.all(np.isfinite(x)):
-        raise ConfigError(f"non-finite values in {name}")
-    return x

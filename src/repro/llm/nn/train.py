@@ -35,10 +35,6 @@ class TrainResult:
     losses: list = field(default_factory=list)
     corpus: MarkovCorpus | None = None
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
 
 def train_lm(cfg: TinyModelConfig | None = None, steps: int = 250,
              batch: int = 16, seq_len: int = 64, lr: float = 3e-3,

@@ -547,38 +547,6 @@ class StepCostSurface:
         part = cache[key] = self._accumulate(ops)
         return part
 
-    # -- warm-start shipping --------------------------------------------
-    def export_tables(self) -> dict:
-        """Picklable snapshot of every priced component table.
-
-        Component values are ``(vector list, macs)`` pairs of plain
-        floats/ints, so the snapshot crosses a ``spawn`` process
-        boundary cheaply — this is how a sweep parent ships its warm
-        pricing state to pool workers (:mod:`repro.serve.sweep`).
-        """
-        return {name: dict(table)
-                for name, table in self._tables.items() if table}
-
-    def install_tables(self, snapshot: dict) -> int:
-        """Adopt components priced by an identically-configured
-        surface; returns how many were installed.
-
-        Only missing keys are taken (a component priced here already
-        is bit-identical by determinism, so there is nothing to
-        reconcile), and the :data:`MAX_COMPONENTS` bound is respected.
-        Safety rests on the caller pairing snapshots with the same
-        ``(design, config, woq/kvq bits, lm_head, tech)`` the exporter
-        had — :func:`repro.serve.costs.install_store_tables` keys the
-        hand-off exactly that way.
-        """
-        installed = 0
-        for name, table in self._tables.items():
-            for key, value in snapshot.get(name, {}).items():
-                if key not in table and len(table) < self.MAX_COMPONENTS:
-                    table[key] = value
-                    installed += 1
-        return installed
-
     def _dense(self, tokens: int) -> tuple:
         config, bits = self.config, self.woq_bits
         return self._component(

@@ -258,10 +258,6 @@ class ShardedStep:
         """Every compute op across all chips (conservation checks)."""
         return [op for shard in self.shards for op in shard.ops]
 
-    def all_ops(self) -> list:
-        """Compute ops plus collectives."""
-        return self.all_compute_ops() + list(self.collectives)
-
 
 def partition_step_layers(config, layers: list, head_ops: list,
                           tokens: int, parallel: ParallelConfig

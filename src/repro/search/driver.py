@@ -3,10 +3,10 @@
 :func:`search` is the one entry point.  ``strategy="grid"`` evaluates
 every valid point at full fidelity through
 :func:`repro.serve.run_sweep` (so it inherits the executor's
-determinism, warm-start, and ``jobs=N`` fan-out) and Pareto-filters
-the scores — the exact baseline.  ``strategy="halving"`` is the
-smarter one: successive halving on deterministic short prefixes of the
-workload.  Each rung scores the surviving candidates on a prefix
+determinism and ``jobs=N`` fan-out) and Pareto-filters the scores —
+the exact baseline.  ``strategy="halving"`` is the smarter one:
+successive halving on deterministic short prefixes of the workload.
+Each rung scores the surviving candidates on a prefix
 (``prefix_fraction`` of the trace, growing by ``eta`` per rung), keeps
 the rung's non-dominated set plus the top ``1/eta`` slice per
 objective, and only the final survivors pay for the full workload.
@@ -22,11 +22,12 @@ label), and no driver-side randomness exists.
 
 Execution goes through **one** :class:`repro.serve.SweepExecutor` for
 the whole search — every rung and the full-fidelity stage share its
-worker pool, warm cost tables, worker-side trace caches, and cross-run
-outcome memo.  Callers comparing strategies (grid vs halving) or
-re-scoring hand-picked configs should pass their own ``executor`` so
-the memo spans those runs too: halving's full-fidelity stage then
-returns grid's cached outcomes instead of re-simulating.
+worker pool (and the cost tables each worker has priced), worker-side
+trace caches, and cross-run outcome memo.  Callers comparing
+strategies (grid vs halving) or re-scoring hand-picked configs should
+pass their own ``executor`` so the memo spans those runs too:
+halving's full-fidelity stage then returns grid's cached outcomes
+instead of re-simulating.
 """
 
 from __future__ import annotations

@@ -48,12 +48,7 @@ from .autoscale import (
     make_autoscaler,
 )
 from .cluster import Replica, ServingCluster, make_cluster, simulate_trace
-from .costs import (
-    StepCost,
-    StepCostCache,
-    aggregate_cache_stats,
-    step_cost_store,
-)
+from .costs import StepCost, StepCostCache, step_cost_store
 from .engine import ServingEngine
 from .kv_cache import BlockManager, BlockPoolStats
 from .metrics import (
@@ -165,7 +160,6 @@ __all__ = [
     "TenantSLO",
     "TenantSpec",
     "TraceSpec",
-    "aggregate_cache_stats",
     "bursty_trace",
     "make_autoscaler",
     "make_cluster",

@@ -40,8 +40,7 @@ from ..errors import ConfigError
 from ..llm.workload import StepCostSurface
 
 __all__ = ["StepCost", "StepCostCache", "StepCostStore",
-           "aggregate_cache_stats", "export_store_tables",
-           "install_store_tables", "step_cost_store"]
+           "step_cost_store"]
 
 #: Default LRU capacity.  An entry is a tuple key and a StepCost value:
 #: about 700 B traced on the ``serve-bulk`` and ``fleet-prefix``
@@ -68,21 +67,15 @@ class StepCost(NamedTuple):
 class StepCostCache:
     """Size-capped LRU mapping step signatures to step costs.
 
-    One instance may be shared by many engines (cluster replicas); the
-    engines keep their own hit/miss counters so each
-    :class:`repro.serve.ServingReport` shows its session's locality,
-    while the cache's own ``hits`` / ``misses`` count every probe it
-    has ever served — the store-level view a sweep worker snapshots
-    (:func:`aggregate_cache_stats`) so fan-out runs can merge each
-    process's cache traffic back into the parent's report.
+    One instance may be shared by many engines (cluster replicas); each
+    engine counts its own hits and misses, so each
+    :class:`repro.serve.ServingReport` shows its session's locality.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries < 1:
             raise ConfigError("max_entries must be positive")
         self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
         self._data: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
@@ -94,9 +87,6 @@ class StepCostCache:
         hit = self._data.get(key)
         if hit is not None:
             self._data.move_to_end(key)
-            self.hits += 1
-        else:
-            self.misses += 1
         return hit
 
     def put(self, key, value) -> None:
@@ -165,54 +155,3 @@ def step_cost_store(design, config, woq_bits: int, kvq_bits: int,
             "under a different TechnologyModel; build a fresh design "
             "for a different tech instead of overriding it")
     return store
-
-
-def export_store_tables(design) -> list:
-    """Every priced surface of ``design`` as picklable warm-start state.
-
-    Returns ``[(config, woq_bits, kvq_bits, include_lm_head, tables),
-    ...]`` — one entry per store whose surface has priced anything —
-    for :func:`install_store_tables` to replay in another process.
-    The sweep executor uses this to ship a warm parent's component
-    tables to cold ``spawn`` workers, which then price their first
-    trace without rebuilding the op-cost components.
-    """
-    try:
-        per_design = _STORES.get(design)
-    except TypeError:
-        per_design = None
-    entries = []
-    for (config, woq, kvq, lm_head), store in (per_design or {}).items():
-        tables = store.surface.export_tables()
-        if tables:
-            entries.append((config, woq, kvq, lm_head, tables))
-    return entries
-
-
-def install_store_tables(design, entries) -> int:
-    """Replay :func:`export_store_tables` output against ``design``'s
-    stores in this process; returns how many components were adopted."""
-    installed = 0
-    for config, woq, kvq, lm_head, tables in entries:
-        store = step_cost_store(design, config, woq, kvq, lm_head)
-        installed += store.surface.install_tables(tables)
-    return installed
-
-
-def aggregate_cache_stats() -> dict:
-    """Totals over every live step-cost cache **in this process**.
-
-    The store registry is per-process state: under the multiprocess
-    sweep executor (:mod:`repro.serve.sweep`) each worker accumulates
-    its own counters, and the parent cannot see them through its own
-    registry.  Workers therefore snapshot this before and after each
-    grid point and ship the deltas home with the result, where
-    :class:`repro.serve.SweepReport` merges them.
-    """
-    hits = misses = entries = 0
-    for per_design in _STORES.values():
-        for store in per_design.values():
-            hits += store.cache.hits
-            misses += store.cache.misses
-            entries += len(store.cache)
-    return {"hits": hits, "misses": misses, "entries": entries}

@@ -373,12 +373,6 @@ class ServingReport(RecordStats):
         return float(np.mean(self._kv_utilization_array()))
 
     @property
-    def peak_kv_utilization(self) -> float:
-        if not self.kv_utilization:
-            return 0.0
-        return float(np.max(self._kv_utilization_array()))
-
-    @property
     def energy_per_token_j(self) -> float:
         return self.energy_j / max(self.generated_tokens, 1)
 
@@ -513,10 +507,6 @@ class ClusterReport(RecordStats):
         return sum(r.prefix_hit_tokens for r in self.replicas) / queried
 
     # -- per-replica balance --------------------------------------------
-    @property
-    def completed_per_replica(self) -> list:
-        return [r.completed for r in self.replicas]
-
     @property
     def tokens_per_replica(self) -> list:
         """Output tokens each replica produced (halves count locally)."""

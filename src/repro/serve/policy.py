@@ -75,10 +75,6 @@ class PagedSequenceState(SequenceState):
         #: dominated planning).
         self.queue_sort_key = queue_sort_key
 
-    @property
-    def prefill_done(self) -> bool:
-        return self.prefilled >= self.prefill_target
-
 
 @dataclass(frozen=True)
 class ChunkTask:

@@ -19,9 +19,8 @@ shared pricing caches — so this module turns the loop inside out:
   worker runs the point, in what order, or how many workers exist;
 * :func:`run_sweep` executes points with ``jobs`` processes and returns
   a :class:`SweepReport` whose outcomes are in *input order* regardless
-  of completion order, with per-point wall clocks and the worker-side
-  step-cost cache traffic (:func:`repro.serve.costs.
-  aggregate_cache_stats` deltas) merged back into the parent.
+  of completion order, with per-point wall clocks and each report's
+  step-cost cache hit/miss counters.
 
 ``jobs=1`` runs inline in the calling process — no pool, no pickling —
 which keeps the parent's warm design/cost caches in play and is the
@@ -70,11 +69,6 @@ from ..errors import ConfigError
 from ..llm.config import ModelConfig
 from .autoscale import AutoscalingCluster
 from .cluster import make_cluster, simulate_trace
-from .costs import (
-    aggregate_cache_stats,
-    export_store_tables,
-    install_store_tables,
-)
 from .policy import PagedScheduler
 from .scheduler import scheduler_class
 from .trace import (
@@ -361,14 +355,6 @@ def _sharded_of(kind: str, size: int | None, tp: int, pp: int,
                          ParallelConfig(tp=tp, pp=pp))
 
 
-def _design_spec(point: SweepPoint) -> tuple:
-    """The hashable spec :func:`_resolve_design` resolves — the warm
-    payload's grouping key."""
-    if point.tp == 1 and point.pp == 1:
-        return point.design
-    return point.design + (point.tp, point.pp, point.model)
-
-
 def _resolve_design(point: SweepPoint):
     """The (memoized) design instance a point serves on."""
     if point.tp == 1 and point.pp == 1:
@@ -505,20 +491,19 @@ class SweepOutcome:
 
     ``wall_s`` times the engine/cluster run only; synthesizing (or
     cache-rebuilding) the input trace is billed to ``trace_s`` and
-    everything around the simulate call — design resolution,
-    cache-stat snapshots, outcome packaging — to ``teardown_s``, so
-    benchmark harnesses built on the executor measure the *simulator*
-    and can see trace-cache wins separately.
+    everything around the simulate call — design resolution, outcome
+    packaging — to ``teardown_s``, so benchmark harnesses built on the
+    executor measure the *simulator* and can see trace-cache wins
+    separately.
 
-    ``cache_hits`` / ``cache_misses`` are the step-cost cache traffic
-    this point generated *in the process that ran it* — the
-    :func:`repro.serve.costs.aggregate_cache_stats` delta around the
-    run — so fanned-out runs surface the same counters a sequential
-    run would see in-process.  ``trace_cache_hit`` says whether the
-    trace came out of that process's column cache instead of RNG
-    generation; ``memo_hit`` marks an outcome the executor answered
-    from its cross-run memo without simulating at all (its clocks are
-    the original run's — the cost the memo saved).
+    ``cache_hits`` / ``cache_misses`` are the report's own
+    ``step_cache_hits`` / ``step_cache_misses``: the step-cost cache
+    probes of this point's engines in the process that ran it (a cold
+    worker misses where a warm parent may hit).  ``trace_cache_hit``
+    says whether the trace came out of that process's column cache
+    instead of RNG generation; ``memo_hit`` marks an outcome the
+    executor answered from its cross-run memo without simulating at
+    all (its clocks are the original run's — the cost the memo saved).
     """
 
     label: str
@@ -533,23 +518,20 @@ class SweepOutcome:
 
 
 def _execute(point: SweepPoint) -> SweepOutcome:
-    """Run one point, timing its phases and snapshotting cache-stat
-    deltas."""
+    """Run one point, timing its phases."""
     total_start = time.perf_counter()
     design = _resolve_design(point)
     start = time.perf_counter()
     trace, trace_hit = _TRACE_CACHE.realize(point.trace)
     trace_s = time.perf_counter() - start
-    before = aggregate_cache_stats()
     start = time.perf_counter()
     report = _serve(point, design, trace)
     wall = time.perf_counter() - start
-    after = aggregate_cache_stats()
     teardown = time.perf_counter() - total_start - trace_s - wall
     return SweepOutcome(label=point.label, report=report, wall_s=wall,
                         trace_s=trace_s,
-                        cache_hits=after["hits"] - before["hits"],
-                        cache_misses=after["misses"] - before["misses"],
+                        cache_hits=report.step_cache_hits,
+                        cache_misses=report.step_cache_misses,
                         teardown_s=teardown, trace_cache_hit=trace_hit)
 
 
@@ -618,41 +600,6 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _warm_payload(points) -> dict:
-    """The parent's priced component tables for this sweep's designs.
-
-    ``{design spec: export_store_tables(...) entries}`` — specs are
-    ``(kind, size)`` for bare chips and ``(kind, size, tp, pp, model)``
-    for sharded pods — for every distinct spec whose surface has priced
-    anything in this process.  Empty when the parent is cold, in which
-    case workers start cold exactly as before.
-    """
-    payload = {}
-    for point in points:
-        spec = _design_spec(point)
-        if spec in payload:
-            continue
-        entries = export_store_tables(_resolve_design(point))
-        if entries:
-            payload[spec] = entries
-    return payload
-
-
-def _install_warm(warm: dict) -> None:
-    """Pool-worker initializer: adopt the parent's priced components.
-
-    Runs once per worker process (not per point), so the snapshot is
-    pickled and shipped exactly ``jobs`` times however many points the
-    sweep fans out.
-    """
-    for spec, entries in warm.items():
-        if len(spec) == 2:
-            design = _design_of(*spec)
-        else:
-            design = _sharded_of(*spec)
-        install_store_tables(design, entries)
-
-
 #: Default cross-run memo capacity.  Entries hold full reports, which
 #: can be large for bulk traces; search/gate sessions touch at most a
 #: few hundred distinct (point, trace) pairs.
@@ -678,9 +625,8 @@ class SweepExecutor:
     * ``jobs > 1`` keeps **one long-lived spawn pool** across every
       :meth:`run` — worker interpreters, their memoized designs,
       priced :class:`~repro.llm.workload.StepCostSurface` tables, and
-      trace-column caches all survive between calls.  The parent's
-      warm cost tables ship once, at pool creation, via the pool
-      initializer;
+      trace-column caches all survive between calls.  Each worker
+      starts cold and prices what its own points need;
     * with ``memoize`` (the default), outcomes are **memoized across
       runs** under the canonical ``(SweepPoint sans label)`` key in a
       size-capped LRU: a later run (or a duplicate within one run)
@@ -732,16 +678,14 @@ class SweepExecutor:
         self._closed = True
 
     def _ensure_pool(self, points):
-        """The persistent pool, created (and warm-started) on first
-        parallel use.  Sized at ``min(jobs, first batch)`` — rungs
-        only ever shrink, and a later wider run still fans out over
-        every worker that exists."""
+        """The persistent pool, created on first parallel use.  Sized
+        at ``min(jobs, first batch)`` — rungs only ever shrink, and a
+        later wider run still fans out over every worker that
+        exists."""
         if self._pool is None:
             context = mp.get_context("spawn")
             self._pool = context.Pool(
-                processes=min(self.jobs, max(len(points), 1)),
-                initializer=_install_warm,
-                initargs=(_warm_payload(points),))
+                processes=min(self.jobs, max(len(points), 1)))
         return self._pool
 
     # -- execution ----------------------------------------------------
@@ -840,12 +784,6 @@ def run_sweep(points, jobs: int = 1) -> SweepReport:
     point, and behaves identically on platforms where ``fork`` is
     unavailable or unsafe with threads.  Repeated identical points
     (e.g. benchmark timing runs) always really re-run.
-
-    A parent that has already priced this sweep's designs ships its
-    :class:`~repro.llm.workload.StepCostSurface` component tables to
-    each worker once at pool start, so workers skip the cold
-    op-cost-model rebuild; the shipped tables are the exact values the
-    worker would have computed, so results are unchanged.
 
     Reports are identical across ``jobs`` values; wall clocks and
     cache-locality counters are the only things that may differ (a

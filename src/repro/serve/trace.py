@@ -123,10 +123,19 @@ class LengthSpec:
     def __post_init__(self):
         if self.kind not in ("fixed", "uniform", "lognormal"):
             raise ConfigError(f"unknown length distribution {self.kind!r}")
-        if self.low < 1 or self.high < self.low:
-            raise ConfigError("need 1 <= low <= high")
-        if self.kind == "fixed" and self.value < 1:
-            raise ConfigError("fixed length must be positive")
+        # Written so NaN fails too: ``sample`` casts a NaN length to
+        # int64's minimum, and numpy rejects a NaN or infinite bound.
+        if not 1 <= self.low <= self.high < math.inf:
+            raise ConfigError("need 1 <= low <= high < inf")
+        if self.kind == "fixed" and not 1 <= self.value < math.inf:
+            raise ConfigError("fixed length must be finite and >= 1")
+        if self.kind == "lognormal":
+            if not 0 < self.value < math.inf:
+                raise ConfigError(
+                    "lognormal median must be finite and positive")
+            if not 0 <= self.sigma < math.inf:
+                raise ConfigError(
+                    "lognormal sigma must be finite and non-negative")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` lengths."""
@@ -299,8 +308,9 @@ def poisson_trace(n_requests: int, rate_rps: float,
     ``priorities`` (optional): levels each request's priority is drawn
     from uniformly, e.g. ``(0, 0, 0, 1)`` for 25 % premium traffic.
     """
-    if n_requests < 1 or rate_rps <= 0:
-        raise ConfigError("need n_requests >= 1 and rate_rps > 0")
+    # Written so NaN fails too; an infinite rate puts every arrival at 0.
+    if n_requests < 1 or not 0 < rate_rps < math.inf:
+        raise ConfigError("need n_requests >= 1 and a finite rate_rps > 0")
     rng = _resolve_rng(seed, rng)
     gaps = rng.exponential(1.0 / rate_rps, size=n_requests)
     arrivals = np.cumsum(gaps) - gaps[0]  # First request at t = 0.
@@ -315,8 +325,9 @@ def steady_trace(n_requests: int, rate_rps: float,
                  prefix: PrefixSpec | None = None,
                  priorities=None) -> list[Request]:
     """Equally spaced arrivals at ``rate_rps`` requests per second."""
-    if n_requests < 1 or rate_rps <= 0:
-        raise ConfigError("need n_requests >= 1 and rate_rps > 0")
+    # Written so NaN fails too; an infinite rate puts every arrival at 0.
+    if n_requests < 1 or not 0 < rate_rps < math.inf:
+        raise ConfigError("need n_requests >= 1 and a finite rate_rps > 0")
     rng = _resolve_rng(seed, rng)
     arrivals = np.arange(n_requests, dtype=np.float64) / rate_rps
     return _make_requests(arrivals, prompt, output, rng, prefix,
@@ -337,10 +348,13 @@ def bursty_trace(n_requests: int, burst_size: int, burst_period_s: float,
     ``jitter_s`` spreads each burst's arrivals uniformly over that many
     seconds (0 = truly simultaneous).
     """
-    if n_requests < 1 or burst_size < 1 or burst_period_s <= 0:
-        raise ConfigError("need positive n_requests/burst_size/period")
-    if jitter_s < 0:
-        raise ConfigError("jitter_s must be non-negative")
+    # Written so NaN fails too: a NaN jitter would be silently skipped.
+    if n_requests < 1 or burst_size < 1 \
+            or not 0 < burst_period_s < math.inf:
+        raise ConfigError("need positive n_requests/burst_size and a "
+                          "finite, positive period")
+    if not 0 <= jitter_s < math.inf:
+        raise ConfigError("jitter_s must be finite and non-negative")
     rng = _resolve_rng(seed, rng)
     bursts = -(-n_requests // burst_size)
     arrivals = np.repeat(np.arange(bursts) * burst_period_s,

@@ -10,9 +10,7 @@ router.  Only the diagnostic step-cache / leap counters may differ.
 
 Also here: a property test that batched routing
 (:meth:`repro.serve.router.Router.select_batch`) makes the same
-per-request decisions as sequential ``select`` + commit, and the sweep
-warm-start surface snapshot (:meth:`StepCostSurface.export_tables` /
-``install_tables``).
+per-request decisions as sequential ``select`` + commit.
 """
 
 from dataclasses import replace
@@ -32,7 +30,6 @@ from repro.serve import (
     make_cluster,
     poisson_trace,
 )
-from repro.serve.costs import export_store_tables, step_cost_store
 from repro.serve.router import ROUTERS as ROUTER_REGISTRY
 from repro.serve.router import make_router
 
@@ -193,31 +190,3 @@ def test_select_batch_matches_sequential_select(router_name, groups,
         return routed, picks
 
     assert run(batched=True) == run(batched=False)
-
-
-class TestWarmStartTables:
-    def test_export_install_round_trip(self):
-        design = tiny_design()
-        store = step_cost_store(design, TINY_GQA, 4, 4, True)
-        priced = store.surface.price_step((32,), (48, 64), ())
-        entries = export_store_tables(design)
-        assert entries, "pricing must populate the component tables"
-
-        cold_design = tiny_design()
-        cold = step_cost_store(cold_design, TINY_GQA, 4, 4, True)
-        installed = sum(
-            cold.surface.install_tables(tables)
-            for *_spec, tables in entries)
-        assert installed > 0
-        repriced = cold.surface.price_step((32,), (48, 64), ())
-        assert repriced.step_seconds == priced.step_seconds
-        assert repriced.dynamic_energy_j == priced.dynamic_energy_j
-
-    def test_install_is_idempotent(self):
-        design = tiny_design()
-        store = step_cost_store(design, TINY_GQA, 4, 4, True)
-        store.surface.price_step((16,), (32,), ())
-        entries = export_store_tables(design)
-        again = sum(store.surface.install_tables(tables)
-                    for *_spec, tables in entries)
-        assert again == 0, "re-installing resident components is a no-op"

@@ -116,13 +116,39 @@ class TestTraces:
     def test_length_spec_validation(self):
         with pytest.raises(ConfigError):
             LengthSpec("zipf")
-        with pytest.raises(ConfigError):
-            LengthSpec("uniform", low=8, high=4)
+        # NaN and infinite knobs fail at construction, not in sample().
+        for kind, knobs in [
+                ("uniform", {"low": 8, "high": 4}),
+                ("uniform", {"low": math.nan, "high": 10}),
+                ("uniform", {"low": 1, "high": math.inf}),
+                ("uniform", {"low": 1, "high": math.nan}),
+                ("fixed", {"value": math.nan}),
+                ("fixed", {"value": math.inf}),
+                ("fixed", {"value": 0}),
+                ("lognormal", {"value": math.nan}),
+                ("lognormal", {"value": math.inf}),
+                ("lognormal", {"value": 0}),
+                ("lognormal", {"sigma": math.nan}),
+                ("lognormal", {"sigma": math.inf}),
+                ("lognormal", {"sigma": -1.0})]:
+            with pytest.raises(ConfigError):
+                LengthSpec(kind, **knobs)
 
     def test_bursty_rejects_negative_jitter(self):
-        with pytest.raises(ConfigError):
-            bursty_trace(n_requests=10, burst_size=5, burst_period_s=10.0,
-                         jitter_s=-1.0)
+        for knobs in [{"jitter_s": -1.0}, {"jitter_s": math.nan},
+                      {"jitter_s": math.inf},
+                      {"burst_period_s": math.nan},
+                      {"burst_period_s": math.inf},
+                      {"burst_period_s": 0.0}]:
+            with pytest.raises(ConfigError):
+                bursty_trace(**{"n_requests": 10, "burst_size": 5,
+                                "burst_period_s": 10.0, **knobs})
+
+    @pytest.mark.parametrize("builder", [poisson_trace, steady_trace])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+    def test_rate_must_be_finite_and_positive(self, builder, rate):
+        with pytest.raises(ConfigError, match="finite rate_rps"):
+            builder(n_requests=20, rate_rps=rate)
 
     @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf,
                                          -1.0])

@@ -7,7 +7,8 @@ ISSUE satellites pinned here:
   (SeedSequence-spawned traces are a pure function of the spec);
 * cache-stat merge — step-cost cache hit/miss totals from a 2-worker
   sweep equal the serial path's when every point owns a distinct
-  step-cost store;
+  step-cost store, and each outcome's pair is its report's own
+  ``step_cache_hits`` / ``step_cache_misses``;
 * pickling — every design-zoo entry, :class:`InterconnectConfig`, and
   a warm :class:`StepCostSurface` survive a pickle round-trip pricing
   bit-identically (the property the spawn-based executor rests on).
@@ -29,7 +30,6 @@ from repro.serve import (
     TraceSpec,
     bursty_trace,
     poisson_trace,
-    run_point,
     run_sweep,
     simulate_trace,
     steady_trace,
@@ -259,6 +259,23 @@ class TestRunSweepParallel:
         for ours, theirs in zip(serial, fanned):
             assert (ours.cache_hits, ours.cache_misses) \
                 == (theirs.cache_hits, theirs.cache_misses)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_outcome_cache_counters_are_the_reports(self, jobs):
+        """An engine, a prefix-affinity cluster and an autoscaling
+        fleet: each outcome's step-cost cache pair is its report's."""
+        points = [_point(label="engine", seed=5),
+                  _point(label="cluster", policy="paged",
+                         router="prefix-affinity", n_replicas=2,
+                         block_size=16),
+                  _point(label="fleet", policy="paged", block_size=16,
+                         autoscaler="reactive", n_replicas=3,
+                         tick_s=1.0)]
+        for outcome in run_sweep(points, jobs=jobs):
+            report = outcome.report
+            assert report.step_cache_hits + report.step_cache_misses > 0
+            assert (outcome.cache_hits, outcome.cache_misses) \
+                == (report.step_cache_hits, report.step_cache_misses)
 
 
 #: The full Table 2 zoo at default sizes; every entry must survive the

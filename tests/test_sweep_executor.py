@@ -25,7 +25,6 @@ from repro.serve import (
     LengthSpec,
     PrefixSpec,
     SweepExecutor,
-    SweepPoint,
     TraceSpec,
     run_sweep,
     trace_cache_stats,
